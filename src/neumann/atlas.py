@@ -23,7 +23,8 @@ import numpy as np
 from .dynamics import relative_equilibrium
 from .errors import ConfigError, NumericalFailure
 from .model import SpectrumSpec
-from .separation import HyperellipticCurve, build_polynomials, poly_from_roots
+from .separation import (HyperellipticCurve, a_prime_values, build_polynomials,
+                         poly_from_roots)
 
 #: two roots closer than this (times scale) count as a double root
 DOUBLE_ROOT_GAP = 1e-6
@@ -75,7 +76,7 @@ def locus_l2_closed_form(spec: SpectrumSpec, w, s: float, exponent: int) -> tupl
     if np.any(np.abs(s - b) == 0.0):
         raise ConfigError("locus parameter s must avoid the eigenvalues")
     we = np.asarray(w, float) ** exponent
-    a_prime = np.array([np.prod(b[k] - np.delete(b, k)) for k in range(b.size)])
+    a_prime = a_prime_values(b)
     d = s - b
     rho1 = -s + 0.5 * float(np.sum(we * a_prime / d ** 2))
     rho2 = 0.5 * s * s - float(np.sum(we * a_prime * (1.0 / d + b / (2.0 * d ** 2))))
@@ -190,7 +191,7 @@ def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     if np.any(b - r < 0.0):
         raise ConfigError("spectator root r must satisfy r <= b_sigma")
     omega = np.sqrt(b - r)
-    a_prime = np.array([np.prod(b[k] - np.delete(b, k)) for k in range(b.size)])
+    a_prime = a_prime_values(b)
     j = omega * np.array([np.prod(b[k] - s) for k in range(b.size)]) / a_prime
 
     # constants from exact polynomial division: Q = (Qt - R_target) / A
@@ -353,7 +354,7 @@ def polyhedron_model(spec: SpectrumSpec, s) -> np.ndarray:
     """Limit boundary j_sigma = prod_k (b_sigma - s_k) / A'(b_sigma) (omega -> 1)."""
     s = np.atleast_1d(np.asarray(s, float))
     b = np.asarray(spec.b)
-    a_prime = np.array([np.prod(b[k] - np.delete(b, k)) for k in range(b.size)])
+    a_prime = a_prime_values(b)
     return np.array([np.prod(b[k] - s) for k in range(b.size)]) / a_prime
 
 
@@ -395,7 +396,7 @@ def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> Poly
         t2_mid = float(np.prod(mid[:2])) if spec.ell == 2 else None
         if spec.ell == 2:
             t2_grid = np.linspace(0.9 * t2_mid, 1.1 * t2_mid, 21)
-            a_prime = np.array([np.prod(b[k] - np.delete(b, k)) for k in range(b.size)])
+            a_prime = a_prime_values(b)
             omega = np.sqrt(h + b - 2.0 * t1)
             jline = np.array([omega * (b ** 2 + t1 * b + t2) / a_prime for t2 in t2_grid])
             second = np.abs(jline[2:] - 2 * jline[1:-1] + jline[:-2])

@@ -1,22 +1,24 @@
 """Trajectory integration with constraint control, equilibria, and periods.
 
-The integrator is a classical 4th-order one-step scheme; after every step
-the state is projected back onto T*S^n (x normalized, y made tangent).  The
-continuous flow preserves the constraints exactly, so projection only
-removes integrator-order noise.  An adaptive mode estimates the local error
-by step doubling.
+The integrator is the projected RK4 step of ``model``: a classical
+4th-order step followed by projection onto T*S^n (x normalized, y made
+tangent).  The projection is what holds C1 = 1 and C2 = 0: off the manifold
+the field gives d/dt C2 = (C1 - 1)(<x, grad V> - |y|^2), so errors in the
+constraints would otherwise grow.  The same step drives the reduced
+Rosochatius flow and the period measurement.  An adaptive mode estimates
+the local error by step doubling.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure, OffManifoldError
-from .model import (PhasePoint, SpectrumSpec, _field_arrays, check_on_manifold,
-                    project_to_manifold)
-from .reduction import reduced_vector_field
+from .model import (PhasePoint, SpectrumSpec, check_on_manifold, integrate_projected,
+                    rk4_projected_step)
+from .reduction import amended_gradient, reduced_vector_field
 
 
 @dataclass
@@ -40,34 +42,13 @@ class Trajectory:
         return PhasePoint(self.x[k], self.y[k])
 
 
-def _rk4_projected(a_vec: np.ndarray, x: np.ndarray, y: np.ndarray, dt: float) -> tuple:
-    k1x, k1y = _field_arrays(a_vec, x, y)
-    k2x, k2y = _field_arrays(a_vec, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-    k3x, k3y = _field_arrays(a_vec, x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-    k4x, k4y = _field_arrays(a_vec, x + dt * k3x, y + dt * k3y)
-    x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    y = y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
-    return project_to_manifold(x, y)
-
-
-def _integrate_arrays(spec, x, y, t_end, dt, save_every):
-    a_vec = spec.a_vec
-    if dt <= 0:
-        raise NumericalFailure("step size underflow")
-    nsteps = max(1, int(round(t_end / dt)))
-    dt = t_end / nsteps  # land exactly on t_end
-    ts, xs, ys = [0.0], [x.copy()], [y.copy()]
-    for k in range(1, nsteps + 1):
-        x, y = _rk4_projected(a_vec, x, y, dt)
-        if k % save_every == 0 or k == nsteps:
-            ts.append(k * dt)
-            xs.append(x.copy())
-            ys.append(y.copy())
-    return np.array(ts), np.array(xs), np.array(ys)
+def _full_gradient(spec: SpectrumSpec):
+    """grad V = A x as a callback for the projected stepper."""
+    return partial(np.multiply, spec.a_vec)
 
 
 def _integrate_adaptive(spec, x, y, t_end, dt0, rtol, save_every):
-    a_vec = spec.a_vec
+    gradient = _full_gradient(spec)
     t, dt = 0.0, dt0
     ts, xs, ys = [0.0], [x.copy()], [y.copy()]
     accepted = 0
@@ -75,9 +56,9 @@ def _integrate_adaptive(spec, x, y, t_end, dt0, rtol, save_every):
         dt = min(dt, t_end - t)
         if dt < 1e-14:
             raise NumericalFailure("step size underflow in adaptive integration")
-        x1, y1 = _rk4_projected(a_vec, x, y, dt)
-        xh, yh = _rk4_projected(a_vec, x, y, 0.5 * dt)
-        x2, y2 = _rk4_projected(a_vec, xh, yh, 0.5 * dt)
+        x1, y1 = rk4_projected_step(gradient, x, y, dt)
+        xh, yh = rk4_projected_step(gradient, x, y, 0.5 * dt)
+        x2, y2 = rk4_projected_step(gradient, xh, yh, 0.5 * dt)
         err = max(np.max(np.abs(x2 - x1)), np.max(np.abs(y2 - y1))) / 15.0
         scale = rtol * (1.0 + max(np.max(np.abs(x)), np.max(np.abs(y))))
         if err <= scale:
@@ -99,9 +80,9 @@ def integrate(spec: SpectrumSpec, p0: PhasePoint, t_end: float, dt: float = 1e-3
     """Integrate the constrained flow from an on-manifold initial point."""
     check_on_manifold(p0, on_manifold_tol)
     if adaptive:
-        t, x, y = _integrate_adaptive(spec, p0.x.copy(), p0.y.copy(), t_end, dt, rtol, save_every)
+        t, x, y = _integrate_adaptive(spec, p0.x, p0.y, t_end, dt, rtol, save_every)
     else:
-        t, x, y = _integrate_arrays(spec, p0.x.copy(), p0.y.copy(), t_end, dt, save_every)
+        t, x, y = integrate_projected(_full_gradient(spec), p0.x, p0.y, t_end, dt, save_every)
     return Trajectory(t, x, y, meta={"dt": dt, "adaptive": adaptive})
 
 
@@ -115,7 +96,7 @@ def integrate_batch(spec: SpectrumSpec, x0: np.ndarray, y0: np.ndarray, t_end: f
     c2 = np.sum(x0 * y0, axis=-1)
     if np.max(np.abs(c1 - 1)) > on_manifold_tol or np.max(np.abs(c2)) > on_manifold_tol:
         raise OffManifoldError("batch initial conditions off T*S^n")
-    t, x, y = _integrate_arrays(spec, x0.copy(), y0.copy(), t_end, dt, save_every)
+    t, x, y = integrate_projected(_full_gradient(spec), x0, y0, t_end, dt, save_every)
     return Trajectory(t, x, y, meta={"dt": dt, "adaptive": False})
 
 
@@ -276,17 +257,21 @@ def equilibrium_phase_point(spec: SpectrumSpec, eq: RelativeEquilibrium) -> Phas
 
 # -- period measurement ----------------------------------------------------------------
 
-def _refine_crossing(f_state, section, t_lo, t_hi, state_lo, tol=1e-12):
-    """Bisect the section-crossing time; f_state advances a state by dt."""
-    s_lo = section(state_lo)
+def _refine_crossing(gradient, k, t_lo, t_hi, xi_lo, eta_lo, tol=1e-12):
+    """Bisect the time in (t_lo, t_hi] where eta[k] crosses zero.
+
+    Each trial state is one projected step from the left state, which moves
+    forward with the bracket.
+    """
+    s_lo = eta_lo[k]
     for _ in range(200):
         t_mid = 0.5 * (t_lo + t_hi)
-        state_mid = f_state(state_lo, t_mid - t_lo)
-        s_mid = section(state_mid)
+        xi_mid, eta_mid = rk4_projected_step(gradient, xi_lo, eta_lo, t_mid - t_lo)
+        s_mid = eta_mid[k]
         if s_lo * s_mid <= 0.0 and s_mid != s_lo:
             t_hi = t_mid
         else:
-            t_lo, state_lo, s_lo = t_mid, state_mid, s_mid
+            t_lo, xi_lo, eta_lo, s_lo = t_mid, xi_mid, eta_mid, s_mid
         if t_hi - t_lo < tol:
             break
     return 0.5 * (t_lo + t_hi)
@@ -300,45 +285,16 @@ def measure_period(spec: SpectrumSpec, w, xi0, eta0, section_index: int = 0,
     is the time between two consecutive same-direction crossings, refined by
     bisection to 1e-12 in time.
     """
-    w = np.asarray(w, float)
-
-    def f_advance(state, tau):
-        xi, eta = state
-        if tau <= 0:
-            return state
-        nst = max(1, int(math.ceil(tau / dt)))
-        h = tau / nst
-        z = np.concatenate([xi, eta])
-        m = xi.size
-        for _ in range(nst):
-            def f(s):
-                return np.concatenate(reduced_vector_field(spec, w, s[:m], s[m:]))
-            k1 = f(z)
-            k2 = f(z + 0.5 * h * k1)
-            k3 = f(z + 0.5 * h * k2)
-            k4 = f(z + h * k3)
-            z = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            zx = z[:m] / np.linalg.norm(z[:m])
-            ze = z[m:] - np.dot(zx, z[m:]) * zx
-            z = np.concatenate([zx, ze])
-        return z[:m], z[m:]
-
-    def section(state):
-        return state[1][section_index]
-
-    xi = np.asarray(xi0, float).copy()
-    eta = np.asarray(eta0, float).copy()
-    state = (xi, eta)
+    gradient = amended_gradient(spec, w)
+    xi = np.asarray(xi0, float)
+    eta = np.asarray(eta0, float)
     t = 0.0
     crossings = []
-    s_prev = section(state)
     while t < t_max and len(crossings) < 2:
-        new_state = f_advance(state, dt)
-        s_new = section(new_state)
-        if s_prev < 0.0 <= s_new:
-            t_cross = _refine_crossing(f_advance, section, t, t + dt, state)
-            crossings.append(t_cross)
-        state, s_prev, t = new_state, s_new, t + dt
+        xi_new, eta_new = rk4_projected_step(gradient, xi, eta, dt)
+        if eta[section_index] < 0.0 <= eta_new[section_index]:
+            crossings.append(_refine_crossing(gradient, section_index, t, t + dt, xi, eta))
+        xi, eta, t = xi_new, eta_new, t + dt
     if len(crossings) < 2:
         raise NumericalFailure(f"no section return within t_max={t_max}")
     return crossings[1] - crossings[0]

@@ -22,7 +22,10 @@ class NumericalFailure(NeumannError):
 
 
 class BlowUpDetected(NumericalFailure):
-    """Reduced motion with negative coupling escaped to infinity in finite time."""
+    """A trajectory stopped being finite or escaped past a bound in finite time.
+
+    Reduced motion with a negative coupling does so near xi_sigma = 0.
+    """
 
     def __init__(self, time, message=""):
         self.time = time

@@ -7,12 +7,13 @@ repeated m_sigma times; equal eigenvalues are stored as consecutive blocks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OffManifoldError
+from .errors import BlowUpDetected, ConfigError, NumericalFailure, OffManifoldError
 
 #: default tolerance for |C1 - 1| and |C2| when a point must lie on T*S^n
 ON_MANIFOLD_TOL = 1e-9
@@ -174,9 +175,75 @@ def check_on_manifold(p: PhasePoint, tol: float = ON_MANIFOLD_TOL) -> None:
 
 def project_to_manifold(x: np.ndarray, y: np.ndarray) -> tuple:
     """Radial projection x -> x/|x| followed by tangential projection of y."""
-    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    y = y - np.sum(x * y, axis=-1, keepdims=True) * x
+    # method-form reductions: same bits as np.linalg.norm / np.sum, less call overhead
+    x = x / np.sqrt((x * x).sum(-1, keepdims=True))
+    y = y - (x * y).sum(-1, keepdims=True) * x
     return x, y
+
+
+def constrained_field(grad_v: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Constrained flow of a potential V on T*S^k, given grad V at x.
+
+    xdot = y,  ydot = -grad V + (<x, grad V> - |y|^2) x, on arrays of shape
+    (..., k+1).  The full Neumann flow has grad V = A x; the Rosochatius flow
+    on the reduced sphere has the same form with the amended potential.
+    """
+    lam = (x * grad_v).sum(-1, keepdims=True) - (y * y).sum(-1, keepdims=True)
+    return y, lam * x - grad_v
+
+
+def rk4_step(gradient, x: np.ndarray, y: np.ndarray, dt: float) -> tuple:
+    """One classical RK4 step of ``constrained_field``; ``gradient`` maps x to grad V."""
+    k1x, k1y = constrained_field(gradient(x), x, y)
+    x2, y2 = x + 0.5 * dt * k1x, y + 0.5 * dt * k1y
+    k2x, k2y = constrained_field(gradient(x2), x2, y2)
+    x3, y3 = x + 0.5 * dt * k2x, y + 0.5 * dt * k2y
+    k3x, k3y = constrained_field(gradient(x3), x3, y3)
+    x4, y4 = x + dt * k3x, y + dt * k3y
+    k4x, k4y = constrained_field(gradient(x4), x4, y4)
+    x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+    y = y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+    return x, y
+
+
+def rk4_projected_step(gradient, x: np.ndarray, y: np.ndarray, dt: float) -> tuple:
+    """``rk4_step`` followed by ``project_to_manifold``.
+
+    Off the manifold the field does not keep the constraints
+    (d/dt C2 = (C1 - 1)(<x, grad V> - |y|^2)), so the projection is what
+    holds C1 = 1 and C2 = 0 along a discrete trajectory.
+    """
+    return project_to_manifold(*rk4_step(gradient, x, y, dt))
+
+
+def integrate_projected(gradient, x: np.ndarray, y: np.ndarray, t_end: float, dt: float,
+                        save_every: int, blowup_threshold: float = math.inf) -> tuple:
+    """Fixed-step ``rk4_projected_step`` from (x, y) at t = 0 to exactly ``t_end``.
+
+    The step is shrunk so that a whole number of steps lands on ``t_end``.
+    Returns arrays (t, x, y) holding the start, every ``save_every``-th step
+    and the end.  Raises BlowUpDetected once the RK4 state, before it is
+    projected, stops being finite or has an entry above ``blowup_threshold``:
+    projection would hide an overshoot (x snaps to a unit vector and y loses
+    its part along x).
+    """
+    if dt <= 0:
+        raise NumericalFailure("step size underflow")
+    nsteps = max(1, int(round(t_end / dt)))
+    dt = t_end / nsteps
+    ts, xs, ys = [0.0], [x], [y]
+    for k in range(1, nsteps + 1):
+        x, y = rk4_step(gradient, x, y, dt)
+        # np.maximum, unlike max(), propagates a NaN from either argument
+        peak = np.maximum(np.abs(x).max(), np.abs(y).max())
+        if not (math.isfinite(peak) and peak <= blowup_threshold):
+            raise BlowUpDetected(k * dt)
+        x, y = project_to_manifold(x, y)
+        if k % save_every == 0 or k == nsteps:
+            ts.append(k * dt)
+            xs.append(x)
+            ys.append(y)
+    return np.array(ts), np.array(xs), np.array(ys)
 
 
 def potential(spec: SpectrumSpec, x: np.ndarray) -> float:
@@ -195,13 +262,6 @@ def hamiltonian(spec: SpectrumSpec, p: PhasePoint) -> float:
     return 0.5 * float(np.dot(p.y, p.y)) + potential(spec, p.x)
 
 
-def _field_arrays(a_vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
-    """Right-hand side on arrays with an arbitrary batch shape (..., n+1)."""
-    grad_v = a_vec * x
-    lam = np.sum(x * grad_v, axis=-1, keepdims=True) - np.sum(y * y, axis=-1, keepdims=True)
-    return y, -grad_v + lam * x
-
-
 def vector_field(spec: SpectrumSpec, p: PhasePoint, tol: float = ON_MANIFOLD_TOL) -> tuple:
     """Constrained Hamiltonian vector field on T*S^n.
 
@@ -211,7 +271,7 @@ def vector_field(spec: SpectrumSpec, p: PhasePoint, tol: float = ON_MANIFOLD_TOL
     if p.dim != spec.n_coords:
         raise ConfigError(f"phase point has {p.dim} coordinates, spectrum needs {spec.n_coords}")
     check_on_manifold(p, tol)
-    return _field_arrays(spec.a_vec, p.x, p.y)
+    return constrained_field(spec.a_vec * p.x, p.x, p.y)
 
 
 def random_phase_point(spec: SpectrumSpec, rng: np.random.Generator,

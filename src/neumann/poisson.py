@@ -164,13 +164,6 @@ def integral_f_observable(spec: SpectrumSpec, sigma: int) -> Observable:
 
 # -- brackets -------------------------------------------------------------------
 
-def canonical_bracket(f: Observable, g: Observable, p: PhasePoint) -> float:
-    """[f, g] = sum df/dx dg/dy - df/dy dg/dx."""
-    gf, gg = f.gradient(p), g.gradient(p)
-    n1 = p.dim
-    return float(np.dot(gf[:n1], gg[n1:]) - np.dot(gf[n1:], gg[:n1]))
-
-
 def dirac_bracket(f: Observable, g: Observable, p: PhasePoint) -> float:
     """Canonical bracket corrected so that C1 and C2 are Casimirs."""
     c1 = float(np.dot(p.x, p.x))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpDetected, ConfigError, SingularStratumError
-from .model import PhasePoint, SpectrumSpec
+from .errors import ConfigError, SingularStratumError
+from .model import PhasePoint, SpectrumSpec, constrained_field, integrate_projected
 
 #: below this, a Casimir value W_sigma counts as singular (stratum boundary)
 SINGULAR_W_TOL = 1e-12
@@ -235,36 +235,36 @@ def rosochatius_invariants(spec: SpectrumSpec, w, xi, eta) -> ReducedState:
     return ReducedState(v=xi ** 2 / 2.0, t=eta ** 2 / 2.0 + inv, s=xi * eta)
 
 
-def amended_potential(spec: SpectrumSpec, w, xi) -> float:
-    xi, w = np.asarray(xi, float), np.asarray(w, float)
+def amended_gradient(spec: SpectrumSpec, w):
+    """Callback xi -> grad V_w = b xi - w / xi^3 of the amended potential.
+
+    Blocks with w_sigma = 0 (multiplicity 1) keep only b xi, so their signed
+    xi_sigma may pass through zero.
+    """
     b = np.asarray(spec.b)
+    w = np.asarray(w, float)
     mask = w != 0.0
-    inv = np.zeros_like(xi)
-    inv[mask] = w[mask] / xi[mask] ** 2
-    return 0.5 * float(np.sum(b * xi ** 2) + np.sum(inv))
+
+    def gradient(xi):
+        return b * xi - w / np.where(mask, xi, 1.0) ** 3
+    return gradient
 
 
 def amended_potential_gradient(spec: SpectrumSpec, w, xi) -> np.ndarray:
-    xi, w = np.asarray(xi, float), np.asarray(w, float)
-    b = np.asarray(spec.b)
-    mask = w != 0.0
-    inv = np.zeros_like(xi)
-    inv[mask] = w[mask] / xi[mask] ** 3
-    return b * xi - inv
+    """grad V_w at xi; see ``amended_gradient``."""
+    return amended_gradient(spec, w)(np.asarray(xi, float))
 
 
 def reduced_vector_field(spec: SpectrumSpec, w, xi, eta) -> tuple:
     """Hamiltonian vector field of the Rosochatius system on T*S^ell.
 
-    Same structure as the full field: xidot = eta and
-    etadot = -grad V_w + (<xi, grad V_w> - |eta|^2) xi, with V_w the amended
-    potential.  Negative w_sigma is admitted (study runs); the flow then
-    blows up in finite time near xi_sigma = 0.
+    The full field's ``constrained_field`` with the amended potential V_w:
+    xidot = eta and etadot = -grad V_w + (<xi, grad V_w> - |eta|^2) xi.
+    Negative w_sigma is admitted (study runs); the flow then blows up in
+    finite time near xi_sigma = 0.
     """
     xi, eta = np.asarray(xi, float), np.asarray(eta, float)
-    grad = amended_potential_gradient(spec, w, xi)
-    lam = float(np.dot(xi, grad) - np.dot(eta, eta))
-    return eta, -grad + lam * xi
+    return constrained_field(amended_potential_gradient(spec, w, xi), xi, eta)
 
 
 @dataclass(frozen=True)
@@ -280,36 +280,12 @@ class ReducedTrajectory:
 def integrate_reduced(spec: SpectrumSpec, w, xi0, eta0, t_end: float,
                       dt: float = 1e-3, save_every: int = 10,
                       blowup_threshold: float = 1e8) -> ReducedTrajectory:
-    """RK4 with per-step projection onto sum xi^2 = 1, sum xi eta = 0.
+    """Rosochatius flow by the full flow's projected RK4 (onto |xi| = 1, <xi, eta> = 0).
 
-    Raises BlowUpDetected when the state norm exceeds ``blowup_threshold``
-    or stops being finite (possible for negative w_sigma).
+    Raises BlowUpDetected when the unprojected state exceeds
+    ``blowup_threshold`` or stops being finite (possible for negative w_sigma).
     """
-    xi = np.asarray(xi0, float).copy()
-    eta = np.asarray(eta0, float).copy()
-    w = np.asarray(w, float)
-    nsteps = max(1, int(round(t_end / dt)))
-    dt = t_end / nsteps  # land exactly on t_end
-    ts, xis, etas = [0.0], [xi.copy()], [eta.copy()]
-
-    def f(s):
-        return np.concatenate(reduced_vector_field(spec, w, s[: xi.size], s[xi.size:]))
-
-    z = np.concatenate([xi, eta])
-    for k in range(1, nsteps + 1):
-        k1 = f(z)
-        k2 = f(z + 0.5 * dt * k1)
-        k3 = f(z + 0.5 * dt * k2)
-        k4 = f(z + dt * k3)
-        z = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > blowup_threshold:
-            raise BlowUpDetected(k * dt)
-        xiv, etav = z[: xi.size], z[xi.size:]
-        xiv = xiv / np.linalg.norm(xiv)
-        etav = etav - np.dot(xiv, etav) * xiv
-        z = np.concatenate([xiv, etav])
-        if k % save_every == 0 or k == nsteps:
-            ts.append(k * dt)
-            xis.append(xiv.copy())
-            etas.append(etav.copy())
-    return ReducedTrajectory(np.array(ts), np.array(xis), np.array(etas))
+    t, xi, eta = integrate_projected(amended_gradient(spec, w), np.asarray(xi0, float),
+                                     np.asarray(eta0, float), t_end, dt, save_every,
+                                     blowup_threshold)
+    return ReducedTrajectory(t, xi, eta)

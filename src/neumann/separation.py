@@ -56,13 +56,10 @@ def poly_mul(a, b) -> np.ndarray:
     return np.array([float(c) for c in _exact_conv(_exact_list(a), _exact_list(b))])
 
 
-def poly_add(a, b) -> np.ndarray:
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    n = max(a.size, b.size)
-    out = np.zeros(n)
-    out[n - a.size:] += a
-    out[n - b.size:] += b
-    return out
+def a_prime_values(b) -> np.ndarray:
+    """A'(b_sigma) = prod_{tau != sigma} (b_sigma - b_tau) for every sigma, in floats."""
+    b = np.asarray(b, float)
+    return np.array([np.prod(b[k] - np.delete(b, k)) for k in range(b.size)])
 
 
 def _exact_from_roots(roots):
@@ -151,7 +148,7 @@ class HyperellipticCurve:
         return poly_eval_exact(coeffs, z)
 
     def a_prime(self, sigma: int) -> float:
-        return float(np.prod(self.b[sigma] - np.delete(self.b, sigma)))
+        return float(a_prime_values(self.b)[sigma])
 
     def to_dict(self) -> dict:
         return {
@@ -320,11 +317,10 @@ def from_separated(spec: SpectrumSpec, u) -> np.ndarray:
     check_interlacing(spec, u)
     u = np.atleast_1d(np.asarray(u, float))
     b = np.asarray(spec.b)
+    a_prime = a_prime_values(b)
     xi2 = np.empty(b.size)
     for sigma in range(b.size):
-        u_b = float(np.prod(b[sigma] - u))
-        a_prime = float(np.prod(b[sigma] - np.delete(b, sigma)))
-        xi2[sigma] = u_b / a_prime
+        xi2[sigma] = float(np.prod(b[sigma] - u)) / a_prime[sigma]
     return xi2
 
 

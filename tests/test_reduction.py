@@ -220,17 +220,20 @@ def test_embed_regular_roundtrip(spec212, rng):
         assert np.allclose(back.w, rc.w, atol=1e-12)
 
 
-def test_reduced_flow_commutes_with_reduction(spec22, rng):
+def test_reduced_flow_commutes_with_reduction(spec22, spec212, rng):
+    # spec212 has a multiplicity-1 block: w = 0 there and its signed xi may
+    # pass through zero, the masked branch of the amended gradient
     from neumann.dynamics import integrate
-    rc = random_regular_reduced(spec22, rng)
-    p0 = embed_regular(spec22, rc.xi, rc.eta, rc.w)
-    t_end = 10.0
-    full = integrate(spec22, p0, t_end, dt=1e-3, save_every=10_000)
-    red = integrate_reduced(spec22, rc.w, rc.xi, rc.eta, t_end, dt=1e-3,
-                            save_every=10_000)
-    rc_end = regular_coordinates(spec22, full.point(full.n_samples - 1))
-    assert np.max(np.abs(rc_end.xi - red.xi[-1])) < 1e-7
-    assert np.max(np.abs(rc_end.eta - red.eta[-1])) < 1e-7
+    for spec in (spec22, spec212):
+        rc = random_regular_reduced(spec, rng)
+        p0 = embed_regular(spec, rc.xi, rc.eta, rc.w)
+        t_end = 10.0
+        full = integrate(spec, p0, t_end, dt=1e-3, save_every=10_000)
+        red = integrate_reduced(spec, rc.w, rc.xi, rc.eta, t_end, dt=1e-3,
+                                save_every=10_000)
+        rc_end = regular_coordinates(spec, full.point(full.n_samples - 1))
+        assert np.max(np.abs(rc_end.xi - red.xi[-1])) < 1e-7
+        assert np.max(np.abs(rc_end.eta - red.eta[-1])) < 1e-7
 
 
 def test_reduced_field_fixed_point_at_equilibrium(spec22):
@@ -245,5 +248,12 @@ def test_negative_coupling_blowup(spec22):
     # w_0 < 0 drives xi_0 through zero: finite-time blow-up is detected
     xi0 = np.array([0.4, np.sqrt(1 - 0.16)])
     eta0 = np.zeros(2)
-    with pytest.raises(BlowUpDetected):
+    with pytest.raises(BlowUpDetected) as exc:
         integrate_reduced(spec22, [-0.25, 0.25], xi0, eta0, t_end=50.0, dt=1e-3)
+    assert exc.value.time == pytest.approx(0.349)
+    # step 348 jumps across xi_0 = 0: the unprojected state passes 1e4 there,
+    # while the projected |eta| stays near 2.7e3 until the overflow a step later
+    with pytest.raises(BlowUpDetected) as exc:
+        integrate_reduced(spec22, [-0.25, 0.25], xi0, eta0, t_end=0.35, dt=1e-3,
+                          blowup_threshold=1e4)
+    assert exc.value.time == pytest.approx(0.348)
