@@ -19,10 +19,10 @@ spec = validate_spectrum((0.0, 1.0, 2.0), (2, 2, 2))
 w = (0.04, 0.09, 0.0625)
 
 variant = resolve_locus_exponent(spec, w)
-print(f"explicit locus formula: coupling exponent resolved to w^{variant.exponent}"
-      f" (double-root gaps: {variant.max_gap})")
+print(f"explicit locus formula: couplings enter as w^1; the double-root oracle "
+      f"selects w^{variant.exponent} (gaps: {variant.max_gap})")
 for s in (0.35, 1.6):
-    rho = locus_l2(spec, w, s, exponent=variant.exponent)
+    rho = locus_l2(spec, w, s)
     ok, gap, loc = double_root_check(build_polynomials(spec, w, rho), s)
     print(f"  s = {s}: rho = ({rho[0]:+.6f}, {rho[1]:+.6f}); "
           f"double root confirmed (gap {gap:.1e}, misplacement {loc:.1e})")

@@ -24,7 +24,7 @@ from .dynamics import relative_equilibrium
 from .errors import ConfigError, NumericalFailure
 from .model import SpectrumSpec
 from .separation import (HyperellipticCurve, a_prime_values, build_polynomials,
-                         poly_from_roots)
+                         poly_der, poly_divide, poly_eval, poly_from_roots, qtilde_coeffs)
 
 #: two roots closer than this (times scale) count as a double root
 DOUBLE_ROOT_GAP = 1e-6
@@ -89,7 +89,6 @@ def locus_l2_exact(spec: SpectrumSpec, w, s: float) -> tuple:
     if spec.ell != 2:
         raise ConfigError("requires exactly three eigenvalue blocks")
     b = np.asarray(spec.b)
-    from .separation import poly_der, poly_eval, qtilde_coeffs
     a = poly_from_roots(b)
     qt = qtilde_coeffs(spec, w)
     a_s, da_s = float(poly_eval(a, s)), float(poly_eval(poly_der(a), s))
@@ -126,11 +125,9 @@ def resolve_locus_exponent(spec: SpectrumSpec, w, s_samples=None) -> LocusVarian
     return LocusVariantReport(exponent=selected, max_gap=gaps, samples=tuple(s_samples))
 
 
-def locus_l2(spec: SpectrumSpec, w, s: float, exponent: int | None = None) -> tuple:
-    """(rho_1, rho_2) on the corank-1 discriminant branch through the double root s."""
-    if exponent is None:
-        exponent = resolve_locus_exponent(spec, w).exponent
-    return locus_l2_closed_form(spec, w, s, exponent)
+def locus_l2(spec: SpectrumSpec, w, s: float) -> tuple:
+    """(rho_1, rho_2) on the corank-1 branch through the double root s, couplings as w^1."""
+    return locus_l2_closed_form(spec, w, s, 1)
 
 
 def locus_l2_zero_lines(spec: SpectrumSpec, w, w_tol: float = 1e-12) -> list:
@@ -165,16 +162,6 @@ class StratumSample:
         return self.j ** 2
 
 
-def _poly_divide(num: np.ndarray, den: np.ndarray) -> tuple:
-    num = np.asarray(num, float).copy()
-    den = np.asarray(den, float)
-    q = np.zeros(num.size - den.size + 1)
-    for k in range(q.size):
-        q[k] = num[k] / den[0]
-        num[k: k + den.size] -= q[k] * den
-    return q, num[q.size:]
-
-
 def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     """Relative equilibrium with frozen coordinates s_k and spectator root r.
 
@@ -195,14 +182,13 @@ def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     j = omega * np.array([np.prod(b[k] - s) for k in range(b.size)]) / a_prime
 
     # constants from exact polynomial division: Q = (Qt - R_target) / A
-    from .separation import qtilde_coeffs
     r_target = -poly_from_roots(np.concatenate([s, s, [r]]))
     num = qtilde_coeffs(spec, j ** 2)
     n = max(num.size, r_target.size)
     diff = np.zeros(n)
     diff[n - num.size:] += num
     diff[n - r_target.size:] -= r_target
-    q, rem = _poly_divide(diff, poly_from_roots(b))
+    q, rem = poly_divide(diff, poly_from_roots(b))
     if np.max(np.abs(rem)) > 1e-8 * max(1.0, float(np.max(np.abs(diff)))):
         raise NumericalFailure("stratum construction inconsistent: division remainder")
     rho = q[1:] / 2.0
@@ -362,7 +348,7 @@ def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> Poly
     """Rescale the boundary by 1/sqrt(h) and compare with the linear model.
 
     The same deterministic s-grid is used at every h so deviations are
-    directly comparable; they shrink like 1/h.  For ell >= 2 the report also
+    directly comparable; they shrink like 1/h.  For ell = 2 the report also
     carries the largest second difference of j along the last symmetric
     parameter (ruled-surface check; exact linearity up to rounding).
     """
@@ -389,18 +375,17 @@ def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> Poly
         devs[idx] = float(np.max(np.abs(rescaled - model)))
 
     ruled = 0.0
-    if spec.ell >= 2:
+    if spec.ell == 2:
         h = float(h_values[-1])
         mid = 0.5 * (b[:-1] + b[1:])
         t1 = -float(np.sum(mid))
-        t2_mid = float(np.prod(mid[:2])) if spec.ell == 2 else None
-        if spec.ell == 2:
-            t2_grid = np.linspace(0.9 * t2_mid, 1.1 * t2_mid, 21)
-            a_prime = a_prime_values(b)
-            omega = np.sqrt(h + b - 2.0 * t1)
-            jline = np.array([omega * (b ** 2 + t1 * b + t2) / a_prime for t2 in t2_grid])
-            second = np.abs(jline[2:] - 2 * jline[1:-1] + jline[:-2])
-            ruled = float(np.max(second))
+        t2_mid = float(np.prod(mid))
+        t2_grid = np.linspace(0.9 * t2_mid, 1.1 * t2_mid, 21)
+        a_prime = a_prime_values(b)
+        omega = np.sqrt(h + b - 2.0 * t1)
+        jline = np.array([omega * (b ** 2 + t1 * b + t2) / a_prime for t2 in t2_grid])
+        second = np.abs(jline[2:] - 2 * jline[1:-1] + jline[:-2])
+        ruled = float(np.max(second))
     return PolyhedronReport(h_values=h_values, deviations=devs, samples_s=svals,
                             rescaled_j=np.array(rescaled_all), model_j=model,
                             ruled_second_diff=ruled)

@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -278,10 +279,8 @@ def cmd_equilibria(args, cfg) -> int:
     return 0
 
 
-def _locus_row(packed):
-    b, m, w, s, exponent = packed
-    spec = SpectrumSpec(tuple(b), tuple(m))
-    rho1, rho2 = atlas.locus_l2_closed_form(spec, w, s, exponent)
+def _locus_row(spec, w, s: float) -> list:
+    rho1, rho2 = atlas.locus_l2(spec, w, s)
     curve = separation.build_polynomials(spec, w, (rho1, rho2))
     ok, gap, loc_err = atlas.double_root_check(curve, s)
     return [s, rho1, rho2, 1.0 if ok else 0.0, gap, loc_err]
@@ -300,15 +299,13 @@ def cmd_locus(args, cfg) -> int:
         b = np.asarray(spec.b)
         s_values = list(np.linspace(b[0] + 0.05, b[1] - 0.05, 20)) + \
             list(np.linspace(b[1] + 0.05, b[2] - 0.05, 20))
-    variant = atlas.resolve_locus_exponent(spec, w)
-    packed = [(spec.b, spec.m, tuple(map(float, w)), float(s), variant.exponent)
-              for s in s_values]
+    row = partial(_locus_row, spec, w)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_locus_row, packed))
+            rows = list(pool.map(row, map(float, s_values)))
     else:
-        rows = [_locus_row(item) for item in packed]
-    extra = [f"locus-exponent: w^{variant.exponent} (double-root oracle)"]
+        rows = [row(s) for s in map(float, s_values)]
+    extra = ["locus-exponent: w^1 (double-root oracle)"]
     for line in atlas.locus_l2_zero_lines(spec, w):
         extra.append(f"zero-coupling line coefficients: {line}")
     _emit(args, cfg, "locus", ["s", "rho_1", "rho_2", "double_root_ok", "gap", "loc_err"],

@@ -84,13 +84,6 @@ class SpectrumSpec:
         start = self.block_starts[sigma]
         return slice(start, start + self.m[sigma])
 
-    def block_of(self, nu: int) -> int:
-        """Block index sigma containing coordinate nu."""
-        for sigma, start in enumerate(self.block_starts):
-            if start <= nu < start + self.m[sigma]:
-                return sigma
-        raise IndexError(nu)
-
     @property
     def a_vec(self) -> np.ndarray:
         """Per-coordinate eigenvalues: b_sigma repeated m_sigma times."""

@@ -100,15 +100,15 @@ def poly_eval_exact(a, z: float) -> float:
     return float(acc)
 
 
-def poly_deflate(a, root) -> tuple:
-    """Synthetic division by (z - root): returns (quotient, remainder)."""
-    a = np.asarray(a, float)
-    out = np.empty(a.size - 1)
-    acc = a[0]
-    for k in range(a.size - 1):
-        out[k] = acc
-        acc = acc * root + a[k + 1]
-    return out, float(acc)
+def poly_divide(num, den) -> tuple:
+    """Long division num / den in floats: returns (quotient, remainder coefficients)."""
+    num = np.asarray(num, float).copy()
+    den = np.asarray(den, float)
+    q = np.zeros(num.size - den.size + 1)
+    for k in range(q.size):
+        q[k] = num[k] / den[0]
+        num[k: k + den.size] -= q[k] * den
+    return q, num[q.size:]
 
 
 # -- the curve ------------------------------------------------------------------------

@@ -12,6 +12,14 @@ where gamma_i doubles the segment cycle exactly when an endpoint sits at an
 eigenvalue (possible only on w_sigma = 0 strata).  The circle around the
 pole z = b_sigma yields the trivial action sqrt(w_sigma) by the residue
 sqrt(-R(b_sigma)) / |A'(b_sigma)|.
+
+Each derivative of an action is a period of an explicit differential:
+
+    dI_i/dp = flag (1/2 pi) int_seg (dR/dp) / (2 sqrt(R) |A|) dz,
+    dR/drho_k = -2 z^{ell-k} A,    dR/dw_sigma = -A'(b_sigma) A / (z - b_sigma),
+
+with d/dh = d/drho_1 and d/dJ_sigma = 2 J_sigma d/dw_sigma, the latter only for
+w_sigma > 0 (at w_sigma = 0, b_sigma is a branch point and the pole a segment end).
 """
 from __future__ import annotations
 
@@ -22,8 +30,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .model import SpectrumSpec
-from .separation import (HyperellipticCurve, curve_from_energy, poly_deflate,
-                         poly_der, poly_eval)
+from .reduction import SINGULAR_W_TOL
+from .separation import (HyperellipticCurve, a_prime_values, curve_from_energy,
+                         poly_der, poly_divide, poly_eval)
 
 #: pairwise root gap (times scale) below which the curve counts as near-critical
 NEAR_CRITICAL_GAP = 1e-8
@@ -116,7 +125,7 @@ def _roots_with_zero_couplings(curve: HyperellipticCurve, zero_idx) -> np.ndarra
     poly = curve.r.copy()
     fixed = []
     for sigma in zero_idx:
-        poly, _ = poly_deflate(poly, float(curve.b[sigma]))
+        poly, _ = poly_divide(poly, (1.0, -float(curve.b[sigma])))
         fixed.append(float(curve.b[sigma]))
     other = np.roots(poly)
     scale = _curve_scale(curve)
@@ -124,7 +133,7 @@ def _roots_with_zero_couplings(curve: HyperellipticCurve, zero_idx) -> np.ndarra
     return np.sort(np.concatenate([np.array(fixed), real]))
 
 
-def branch_points(curve: HyperellipticCurve, w_tol: float = 1e-12) -> np.ndarray:
+def branch_points(curve: HyperellipticCurve, w_tol: float = SINGULAR_W_TOL) -> np.ndarray:
     """All real roots of R, sorted ascending; validates count and placement.
 
     Raises when a real pair is missing (complex roots where the bounded-motion
@@ -164,29 +173,41 @@ def branch_segments(curve: HyperellipticCurve, roots: np.ndarray | None = None) 
     return [(float(roots[2 * i + 1]), float(roots[2 * i + 2])) for i in range(curve.ell)]
 
 
-def sqrt_weight_quadrature(f, zlo: float, zhi: float, n: int) -> float:
+def _cosine_nodes(zlo: float, zhi: float, n: int) -> tuple:
+    """Midpoint nodes z = m - r cos(theta), theta = (k + 1/2) pi / n, and sin(theta)."""
+    m, r = 0.5 * (zlo + zhi), 0.5 * (zhi - zlo)
+    theta = (np.arange(n) + 0.5) * np.pi / n
+    return m - r * np.cos(theta), np.sin(theta)
+
+
+def sqrt_weight_quadrature(f, zlo: float, zhi: float, n: int):
     """Midpoint rule for int_zlo^zhi sqrt((z-zlo)(zhi-z)) f(z) dz via z = m - r cos(theta).
 
     Exact to machine precision for constant f at any n >= 1; spectrally
-    convergent for smooth f.
+    convergent for smooth f.  ``f`` may return rows (last axis over the
+    nodes); the result then holds one integral per row.
     """
-    m, r = 0.5 * (zlo + zhi), 0.5 * (zhi - zlo)
-    theta = (np.arange(n) + 0.5) * np.pi / n
-    z = m - r * np.cos(theta)
-    vals = np.sin(theta) ** 2 * np.asarray(f(z))
-    return float(r * r * np.pi / n * np.sum(vals))
+    r = 0.5 * (zhi - zlo)
+    z, sin_theta = _cosine_nodes(zlo, zhi, n)
+    vals = sin_theta ** 2 * np.asarray(f(z))
+    return r * r * np.pi / n * np.sum(vals, axis=-1)
 
 
-def action_integral(curve: HyperellipticCurve, i: int, tol: float = 1e-11,
-                    max_nodes: int = 1 << 14) -> tuple:
-    """(I_i, doubling flag) for the i-th branch segment (0-based, ascending).
+def _self_converge(quad, tol: float, max_nodes: int, what: str):
+    """quad(n) with n doubled from 16 until successive values agree to ``tol``."""
+    n = 16
+    prev = quad(n)
+    while n < max_nodes:
+        n *= 2
+        cur = quad(n)
+        if np.all(np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))):
+            return cur
+        prev = cur
+    raise NumericalFailure(f"{what} quadrature failed to self-converge")
 
-    I_i = flag * (1/2 pi) int_seg sqrt(R(z)) / |A(z)| dz with flag = 2 exactly
-    when a segment endpoint coincides with an eigenvalue.  The square-root
-    endpoint behaviour is absorbed by the cosine substitution; node count is
-    doubled until self-convergence below ``tol``.
-    """
-    roots = branch_points(curve)
+
+def _segment(curve: HyperellipticCurve, roots: np.ndarray | None, i: int) -> tuple:
+    """(zlo, zhi, flag, quotient) of the i-th segment, quotient = R / ((z-zlo)(z-zhi))."""
     segments = branch_segments(curve, roots)
     if not 0 <= i < len(segments):
         raise ConfigError(f"segment index {i} out of range for genus {curve.ell}")
@@ -197,11 +218,24 @@ def action_integral(curve: HyperellipticCurve, i: int, tol: float = 1e-11,
     inside = (curve.b > zlo + DOUBLING_TOL * scale) & (curve.b < zhi - DOUBLING_TOL * scale)
     if np.any(inside):
         raise NumericalFailure("an eigenvalue lies strictly inside a branch segment")
-    if zhi - zlo < NEAR_CRITICAL_GAP * scale:
-        return 0.0, flag
+    quotient, _ = poly_divide(curve.r, (1.0, -zlo))
+    quotient, _ = poly_divide(quotient, (1.0, -zhi))
+    return zlo, zhi, flag, quotient
 
-    quotient, _ = poly_deflate(curve.r, zlo)
-    quotient, _ = poly_deflate(quotient, zhi)
+
+def action_integral(curve: HyperellipticCurve, i: int, tol: float = 1e-11,
+                    max_nodes: int = 1 << 14, roots: np.ndarray | None = None) -> tuple:
+    """(I_i, doubling flag) for the i-th branch segment (0-based, ascending).
+
+    I_i = flag * (1/2 pi) int_seg sqrt(R(z)) / |A(z)| dz with flag = 2 exactly
+    when a segment endpoint coincides with an eigenvalue.  The square-root
+    endpoint behaviour is absorbed by the cosine substitution; node count is
+    doubled until self-convergence below ``tol``.  ``roots`` are the curve's
+    branch points, isolated here when not given.
+    """
+    zlo, zhi, flag, quotient = _segment(curve, roots, i)
+    if zhi - zlo < NEAR_CRITICAL_GAP * _curve_scale(curve):
+        return 0.0, flag
     a_coeffs = curve.a_coeffs
 
     def integrand(z):
@@ -209,27 +243,49 @@ def action_integral(curve: HyperellipticCurve, i: int, tol: float = 1e-11,
         q = np.maximum(-poly_eval(quotient, z), 0.0)
         return np.sqrt(q) / np.abs(poly_eval(a_coeffs, z))
 
-    n = 16
-    prev = sqrt_weight_quadrature(integrand, zlo, zhi, n)
-    while n < max_nodes:
-        n *= 2
-        cur = sqrt_weight_quadrature(integrand, zlo, zhi, n)
-        if abs(cur - prev) < tol * max(1.0, abs(cur)):
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise NumericalFailure("action quadrature failed to self-converge")
-    return flag * prev / (2.0 * np.pi), flag
+    total = _self_converge(lambda n: sqrt_weight_quadrature(integrand, zlo, zhi, n),
+                           tol, max_nodes, "action")
+    return flag * total / (2.0 * np.pi), flag
 
 
 def action_integrals(curve: HyperellipticCurve, tol: float = 1e-11) -> tuple:
-    vals, flags = [], []
-    for i in range(curve.ell):
-        v, f = action_integral(curve, i, tol=tol)
-        vals.append(v)
-        flags.append(f)
-    return np.array(vals), np.array(flags, dtype=int)
+    """(I, flags) over all segments, with the branch points isolated once."""
+    roots = branch_points(curve)
+    pairs = [action_integral(curve, i, tol=tol, roots=roots) for i in range(curve.ell)]
+    return np.array([v for v, _ in pairs]), np.array([f for _, f in pairs], dtype=int)
+
+
+def _action_gradient(curve: HyperellipticCurve, roots: np.ndarray, i: int, w_blocks,
+                     tol: float, max_nodes: int = 1 << 14) -> tuple:
+    """(dI_i/d(rho_1, ..., rho_ell, w_sigma for sigma in w_blocks), flag) on segment i.
+
+    In theta, dz / sqrt((z-zlo)(zhi-z)) = dtheta leaves (dR/dp) / (2 sqrt(-q) |A|)
+    with q = R / ((z-zlo)(z-zhi)), so the endpoint factor is never formed at the
+    rounded nodes.  The pole of a w_sigma row at b = b_sigma, which nears the
+    segment as w_sigma -> 0, is split off: int_0^pi dtheta / (z-b) is
+    sign(m-b) pi / sqrt((zlo-b)(zhi-b)), and the rest, (1/sqrt(-q) - 1/sqrt(-q(b))) / (z-b),
+    is rewritten through D = (q - q(b)) / (z-b) so that nothing cancels.
+    """
+    zlo, zhi, flag, quotient = _segment(curve, roots, i)
+    m = 0.5 * (zlo + zhi)
+    sign_a = float(np.prod(np.sign(m - curve.b)))  # sign of A on the segment
+    b = curve.b[list(w_blocks)]
+    c = -0.5 * a_prime_values(curve.b)[list(w_blocks), None]
+    root_qb = np.sqrt(-poly_eval(quotient, b))[:, None]
+    d_coeffs = [poly_divide(quotient, (1.0, -bs))[0] for bs in b]
+    pole = np.sign(m - b) * np.pi / np.sqrt((zlo - b) * (zhi - b))
+
+    def quad(n):
+        z, _ = _cosine_nodes(zlo, zhi, n)
+        root_q = np.sqrt(-poly_eval(quotient, z))
+        smooth = np.array([poly_eval(d, z) for d in d_coeffs]).reshape(b.size, n)
+        rows = np.vstack([-np.vander(z, curve.ell).T / root_q,
+                          c * smooth / (root_q * root_qb * (root_q + root_qb))])
+        return np.pi / n * np.sum(rows, axis=-1)
+
+    total = _self_converge(quad, tol, max_nodes, "action-derivative")
+    total[curve.ell:] += (c / root_qb)[:, 0] * pole
+    return flag * sign_a * total / (2.0 * np.pi), flag
 
 
 def trivial_action_residue(curve: HyperellipticCurve, sigma: int,
@@ -265,63 +321,31 @@ class PeriodLattice:
         return self.t[:ell, ell:]
 
 
-def _richardson_derivative(fn, x0: np.ndarray, k: int, step: float) -> np.ndarray:
-    def central(delta):
-        xp, xm = x0.copy(), x0.copy()
-        xp[k] += delta
-        xm[k] -= delta
-        return (fn(xp) - fn(xm)) / (2 * delta)
-
-    d1 = central(step)
-    d2 = central(0.5 * step)
-    return (4.0 * d2 - d1) / 3.0
-
-
 def period_lattice(spec: SpectrumSpec, w, h: float, extra_rho=(),
-                   fd_rel: float = 1e-5, quad_tol: float = 1e-12) -> PeriodLattice:
+                   quad_tol: float = 1e-12) -> PeriodLattice:
     """Assemble the action-derivative matrix T and frequencies Omega = T^{-1}.
 
-    Parameters are (h, rho_2, ..., rho_ell, J_sigma for blocks with w > 0);
-    derivatives of the nontrivial actions are centered finite differences
-    with one Richardson extrapolation.  Near-discriminant curves (tiny branch
+    Parameters are (h, rho_2, ..., rho_ell, J_sigma for w_sigma > SINGULAR_W_TOL); the
+    derivatives are the periods of the module docstring on one curve, whose
+    branch points are isolated once.  Near-discriminant curves (tiny branch
     gaps) are rejected as ill-conditioned.
     """
     w = np.asarray(w, float)
     ell = spec.ell
-    j_blocks = tuple(s for s in range(ell + 1) if w[s] > 0.0)
+    j_blocks = tuple(s for s in range(ell + 1) if w[s] > SINGULAR_W_TOL)
     extra = tuple(float(v) for v in extra_rho)
-    base_curve = curve_from_energy(spec, w, h, extra)
-    roots = branch_points(base_curve)
-    scale = _curve_scale(base_curve)
-    if float(np.min(np.diff(roots))) < 1e-6 * scale:
+    curve = curve_from_energy(spec, w, h, extra)
+    roots = branch_points(curve)
+    if float(np.min(np.diff(roots))) < 1e-6 * _curve_scale(curve):
         raise NumericalFailure("near-discriminant parameters: period lattice ill-conditioned")
-    _, flags = action_integrals(base_curve, tol=quad_tol)
-
-    params = np.array([h, *extra, *[np.sqrt(w[s]) for s in j_blocks]])
     names = ("h", *[f"rho_{k}" for k in range(2, ell + 1)],
              *[f"J_{s}" for s in j_blocks])
 
-    def actions(theta):
-        hh = theta[0]
-        ex = tuple(theta[1:ell])
-        ww = w.copy()
-        for pos, s in enumerate(j_blocks):
-            ww[s] = theta[ell + pos] ** 2
-        vals, _ = action_integrals(curve_from_energy(spec, ww, hh, ex), tol=quad_tol)
-        return vals
-
-    n_params = params.size
-    top = np.empty((ell, n_params))
-    steps = {}
-    for k in range(n_params):
-        step = fd_rel * max(1.0, abs(params[k]))
-        steps[names[k]] = step
-        top[:, k] = _richardson_derivative(actions, params, k, step)
-
-    dim = ell + len(j_blocks)
-    t_mat = np.zeros((dim, dim))
-    t_mat[:ell, :] = top
-    t_mat[ell:, ell:] = np.eye(len(j_blocks))
+    t_mat = np.eye(ell + len(j_blocks))
+    flags = np.empty(ell, dtype=int)
+    for i in range(ell):
+        t_mat[i], flags[i] = _action_gradient(curve, roots, i, j_blocks, quad_tol)
+    t_mat[:ell, ell:] *= 2.0 * np.sqrt(w[list(j_blocks)])  # d/dJ = 2 J d/dw
     omega = np.linalg.inv(t_mat)
     return PeriodLattice(t=t_mat, omega=omega, param_names=names, j_blocks=j_blocks,
-                         flags=flags, meta={"fd_steps": steps, "h": h, "extra_rho": extra})
+                         flags=flags, meta={"h": h, "extra_rho": extra})

@@ -278,7 +278,7 @@ def test_criterion_10_discriminant_oracle():
     worst_gap = 0.0
     for s in np.concatenate([np.linspace(0.05, 0.95, 12),
                              np.linspace(1.05, 1.95, 12)]):
-        rho = locus_l2(SPEC222, w, float(s), exponent=variant.exponent)
+        rho = locus_l2(SPEC222, w, float(s))
         okk, gap, loc = double_root_check(build_polynomials(SPEC222, w, rho),
                                           float(s))
         assert okk, (s, gap, loc)

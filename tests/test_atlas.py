@@ -33,12 +33,12 @@ def test_locus_l2_matches_exact_solve(spec222):
 
 def test_locus_l2_double_root_oracle(spec222):
     for s in np.linspace(0.05, 0.95, 9):
-        rho = locus_l2(spec222, W222, float(s), exponent=1)
+        rho = locus_l2(spec222, W222, float(s))
         ok, gap, loc_err = double_root_check(build_polynomials(spec222, W222, rho),
                                              float(s))
         assert ok, (s, gap, loc_err)
     for s in np.linspace(1.05, 1.95, 9):
-        rho = locus_l2(spec222, W222, float(s), exponent=1)
+        rho = locus_l2(spec222, W222, float(s))
         ok, _, _ = double_root_check(build_polynomials(spec222, W222, rho), float(s))
         assert ok
 
@@ -49,8 +49,8 @@ def test_locus_branches_meet_corank2_point(spec222):
     eq = relative_equilibrium(spec222, j)
     from neumann.separation import to_separated as tosep
     u_eq = tosep(spec222, W222, eq.xi, np.zeros(3)).u
-    rho_a = np.array(locus_l2(spec222, W222, float(u_eq[0]), exponent=1))
-    rho_b = np.array(locus_l2(spec222, W222, float(u_eq[1]), exponent=1))
+    rho_a = np.array(locus_l2(spec222, W222, float(u_eq[0])))
+    rho_b = np.array(locus_l2(spec222, W222, float(u_eq[1])))
     assert np.max(np.abs(rho_a - rho_b)) < 1e-9
 
 
@@ -176,7 +176,7 @@ def test_corank_rank_deficiency(spec222):
 
     # corank 1: double root at s in (b_0, b_1); second pair moves on the curve
     s1 = 0.45
-    rho = locus_l2(spec222, W222, s1, exponent=1)
+    rho = locus_l2(spec222, W222, s1)
     curve = build_polynomials(spec222, W222, rho)
     u2 = 1.5
     assert float(curve.evaluate(u2)) > 0  # inside the oscillation segment

@@ -3,7 +3,7 @@ import pytest
 
 from neumann import (build_polynomials, curve_from_energy, measure_period,
                      momentum_map, period_lattice, separation_constants,
-                     to_separated, trivial_action_residue)
+                     to_separated, trivial_action_residue, validate_spectrum)
 from neumann.errors import ConfigError, NumericalFailure
 from neumann.separation import energy_shift
 from neumann.spectral import (NearCriticalWarning, action_integral,
@@ -76,6 +76,12 @@ def test_quadrature_exact_for_pure_sqrt_weight():
         for n in (2, 8, 64):
             val = sqrt_weight_quadrature(lambda z: np.ones_like(z), a, b, n)
             assert val == pytest.approx(exact, rel=1e-15)
+            # a two-row integrand gives one integral per row
+            rows = sqrt_weight_quadrature(lambda z: np.vstack([np.ones_like(z),
+                                                               -3.0 * np.ones_like(z)]),
+                                          a, b, n)
+            assert rows.shape == (2,)
+            assert rows == pytest.approx([exact, -3.0 * exact], rel=1e-15)
 
 
 def test_action_integral_convergence_and_positivity(spec22):
@@ -198,6 +204,85 @@ def test_period_lattice_genus_two(spec222, rng):
     assert np.allclose(lat.t[2:, :2], 0.0)
     assert np.allclose(lat.t[2:, 2:], np.eye(3))
     assert np.allclose(lat.omega @ lat.t, np.eye(5), atol=1e-7)
+
+
+def _lattice_by_differences(spec, w, h, extra, j_blocks, quad_tol):
+    """dI/d(h, rho_2.., J) by centred differences plus one Richardson step."""
+    ell = spec.ell
+    theta = np.array([h, *extra, *np.sqrt(w[list(j_blocks)])])
+
+    def actions(t):
+        ww = w.copy()
+        ww[list(j_blocks)] = t[ell:] ** 2
+        curve = curve_from_energy(spec, ww, t[0], tuple(t[1:ell]))
+        return action_integrals(curve, tol=quad_tol)[0]
+
+    columns = []
+    for k in range(theta.size):
+        step = 2e-4 * max(1.0, abs(theta[k]))
+
+        def central(delta):
+            tp, tm = theta.copy(), theta.copy()
+            tp[k] += delta
+            tm[k] -= delta
+            return (actions(tp) - actions(tm)) / (2 * delta)
+
+        columns.append((4.0 * central(0.5 * step) - central(step)) / 3.0)
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("b, m, quad_tol", [
+    ((0.0, 1.0), (2, 2), 1e-14),
+    ((0.0, 1.0, 2.0), (2, 2, 2), 1e-14),
+    ((0.0, 1.0, 2.0, 3.0), (2, 2, 2, 2), 1e-14),
+    # the 1-dimensional block has w = 0, so one segment ends at b_1 (flag 2);
+    # such segments self-converge only to about 1e-13
+    ((0.0, 1.0, 2.0), (2, 1, 2), 1e-12),
+], ids=["spec22", "spec222", "spec2222", "spec212"])
+def test_period_lattice_matches_action_differences(b, m, quad_tol, rng):
+    spec = validate_spectrum(b, m)
+    single = np.asarray(m) == 1
+    checked, flags = 0, []
+    while checked < 3:
+        rc = random_regular_reduced(spec, rng)
+        # a 1-dimensional block carries no angular momentum: w = 0 up to rounding
+        w = np.where(single, 0.0, rc.w)
+        if np.any(w[~single] < 1e-3):
+            continue  # the differences step J by 2e-4 and must keep w > 0
+        st = to_separated(spec, w, rc.xi, rc.eta)
+        rho = separation_constants(spec, w, st.u, st.p)
+        h = float(rho[0]) + energy_shift(spec)
+        lat = period_lattice(spec, w, h, extra_rho=tuple(rho[1:]))
+        assert lat.j_blocks == tuple(np.nonzero(~single)[0])
+        ref = _lattice_by_differences(spec, w, h, tuple(rho[1:]), lat.j_blocks, quad_tol)
+        top = lat.t[:spec.ell]
+        assert np.max(np.abs(top - ref)) < 1e-7 * np.max(np.abs(ref))
+        flags.extend(lat.flags)
+        checked += 1
+    assert (2 in flags) == bool(np.any(single))
+
+
+def test_period_lattice_small_coupling(spec222):
+    # as w_2 -> 0 the eigenvalue b_2 closes onto a branch point; the pole of
+    # dR/dw_2 is split off in closed form, so dI_2/dJ_2 stays finite and tends
+    # to -1/2 while the other columns converge
+    xi = np.array([0.5, 0.5, np.sqrt(0.5)])
+    eta = np.array([0.3, -0.2, 0.0])
+    eta -= xi * (xi @ eta)
+    w = np.array([0.05, 0.05, 0.0])
+    st = to_separated(spec222, w, xi, eta)
+    rho = separation_constants(spec222, w, st.u, st.p)
+    h = float(rho[0]) + energy_shift(spec222)
+    assert list(action_integrals(curve_from_energy(spec222, w, h, (rho[1],)))[1]) == [1, 2]
+    previous = None
+    for w2 in (1e-4, 1e-6, 1e-8):
+        w[2] = w2
+        lat = period_lattice(spec222, w, h, extra_rho=(float(rho[1]),))
+        assert np.all(lat.flags == 1)
+        assert abs(lat.t[1, 4] + 0.5) < np.sqrt(w2)
+        if previous is not None:
+            assert np.max(np.abs(lat.t[:2, :4] - previous)) < 1e-3
+        previous = lat.t[:2, :4]
 
 
 def test_actions_require_bounded_parameters(spec22):
