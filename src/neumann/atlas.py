@@ -15,7 +15,6 @@ h* = -2 (B - b_ell) - b_0.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +161,12 @@ class StratumSample:
         return self.j ** 2
 
 
+def _gap_products(b: np.ndarray, s) -> np.ndarray:
+    """prod_k (b_sigma - s_k) for every sigma (last axis), for one s or a stack (..., ell)."""
+    s = np.atleast_1d(np.asarray(s, float))
+    return np.prod(b[:, None] - s[..., None, :], axis=-1)
+
+
 def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     """Relative equilibrium with frozen coordinates s_k and spectator root r.
 
@@ -178,8 +183,7 @@ def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     if np.any(b - r < 0.0):
         raise ConfigError("spectator root r must satisfy r <= b_sigma")
     omega = np.sqrt(b - r)
-    a_prime = a_prime_values(b)
-    j = omega * np.array([np.prod(b[k] - s) for k in range(b.size)]) / a_prime
+    j = omega * _gap_products(b, s) / a_prime_values(b)
 
     # constants from exact polynomial division: Q = (Qt - R_target) / A
     r_target = -poly_from_roots(np.concatenate([s, s, [r]]))
@@ -338,19 +342,19 @@ class PolyhedronReport:
 
 def polyhedron_model(spec: SpectrumSpec, s) -> np.ndarray:
     """Limit boundary j_sigma = prod_k (b_sigma - s_k) / A'(b_sigma) (omega -> 1)."""
-    s = np.atleast_1d(np.asarray(s, float))
     b = np.asarray(spec.b)
-    a_prime = a_prime_values(b)
-    return np.array([np.prod(b[k] - s) for k in range(b.size)]) / a_prime
+    return _gap_products(b, s) / a_prime_values(b)
 
 
 def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> PolyhedronReport:
     """Rescale the boundary by 1/sqrt(h) and compare with the linear model.
 
     The same deterministic s-grid is used at every h so deviations are
-    directly comparable; they shrink like 1/h.  For ell = 2 the report also
-    carries the largest second difference of j along the last symmetric
-    parameter (ruled-surface check; exact linearity up to rounding).
+    directly comparable; they shrink like 1/h.  On the boundary
+    j = sqrt(b - r) * polyhedron_model(s) with spectator root r = -h - 2 sum s,
+    in closed form for every sample and energy at once.  For ell = 2 the
+    report also carries the largest second difference of j along the last
+    symmetric parameter (ruled-surface check; exact linearity up to rounding).
     """
     b = np.asarray(spec.b)
     h_values = np.asarray(h_values, float)
@@ -363,16 +367,12 @@ def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> Poly
         if spec.ell > 1 else grids[0][:, None]
     if svals.shape[0] > 4096:
         svals = svals[:: max(1, svals.shape[0] // 4096)]
-    model = np.array([polyhedron_model(spec, s) for s in svals])
-    devs = np.empty(h_values.size)
-    rescaled_all = []
-    for idx, h in enumerate(h_values):
-        rescaled = np.empty_like(model)
-        for k, s in enumerate(svals):
-            sample = equilibrium_stratum_at_energy(spec, float(h), s)
-            rescaled[k] = sample.j / math.sqrt(h)
-        rescaled_all.append(rescaled)
-        devs[idx] = float(np.max(np.abs(rescaled - model)))
+    a_prime = a_prime_values(b)
+    prods = _gap_products(b, svals)
+    model = prods / a_prime
+    r = -h_values[:, None] - 2.0 * np.sum(svals, axis=1)
+    rescaled = np.sqrt(b - r[..., None]) * prods / a_prime / np.sqrt(h_values)[:, None, None]
+    devs = np.max(np.abs(rescaled - model), axis=(1, 2))
 
     ruled = 0.0
     if spec.ell == 2:
@@ -381,11 +381,10 @@ def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> Poly
         t1 = -float(np.sum(mid))
         t2_mid = float(np.prod(mid))
         t2_grid = np.linspace(0.9 * t2_mid, 1.1 * t2_mid, 21)
-        a_prime = a_prime_values(b)
         omega = np.sqrt(h + b - 2.0 * t1)
         jline = np.array([omega * (b ** 2 + t1 * b + t2) / a_prime for t2 in t2_grid])
         second = np.abs(jline[2:] - 2 * jline[1:-1] + jline[:-2])
         ruled = float(np.max(second))
     return PolyhedronReport(h_values=h_values, deviations=devs, samples_s=svals,
-                            rescaled_j=np.array(rescaled_all), model_j=model,
+                            rescaled_j=rescaled, model_j=model,
                             ruled_second_diff=ruled)

@@ -19,6 +19,7 @@ from .errors import ConfigError, NumericalFailure, OffManifoldError
 from .model import (PhasePoint, SpectrumSpec, check_on_manifold, integrate_projected,
                     rk4_projected_step)
 from .reduction import amended_gradient, reduced_vector_field
+from .separation import bracketed_roots
 
 
 @dataclass
@@ -176,7 +177,8 @@ def relative_equilibrium(spec: SpectrumSpec, j) -> RelativeEquilibrium:
 
     Blocks with m_sigma = 1 must carry j_sigma = 0 and get xi_sigma = 0;
     blocks with m_sigma >= 2 need j_sigma > 0.  The left side is monotone
-    increasing in beta and spans (0, infinity), so a root always exists.
+    increasing in beta and spans (0, infinity), so a root always exists; it
+    lies in (b_min - (sum j)^2, b_min) and comes from ``bracketed_roots``.
     """
     j = np.asarray(j, dtype=float)
     if j.size != spec.ell + 1:
@@ -190,35 +192,24 @@ def relative_equilibrium(spec: SpectrumSpec, j) -> RelativeEquilibrium:
     active = j > 0
     if not np.any(active):
         raise ConfigError("no block carries momentum: no relative equilibrium in this stratum")
-    b_min = float(np.min(b[active]))
-
-    def g(beta):
-        return float(np.sum(j[active] / np.sqrt(b[active] - beta))) - 1.0
-
+    ja, ba = j[active], b[active]
+    b_min = float(np.min(ba))
     eps = 1e-14 * (1.0 + abs(b_min))
-    hi = b_min - eps
-    if g(hi) < 0.0:
-        raise NumericalFailure("bisection bracket failed at the singular end")
-    span = max(1.0, float(np.sum(j)) ** 2)
-    lo = b_min - span
-    while g(lo) > 0.0:
-        span *= 4.0
-        lo = b_min - span
-        if span > 1e30:
-            raise NumericalFailure("bisection bracket failed: no sign change")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15 * (1.0 + abs(mid)):
-            break
-    beta = 0.5 * (lo + hi)
+    # a root closer to the pole than eps is not resolved: raise rather than guess
+    if float(np.sum(ja / np.sqrt(ba - (b_min - eps)))) < 1.0:
+        raise NumericalFailure("root bracket failed at the singular end")
+
+    def fdf(beta):
+        root = np.sqrt(ba - beta[:, None])
+        return (ja / root).sum(axis=1) - 1.0, 0.5 * (ja / root ** 3).sum(axis=1)
+
+    # at b_min - (sum j)^2 every term is at most j / sum j, so the sum is <= 1
+    lo = b_min - float(np.sum(ja)) ** 2
+    beta = float(bracketed_roots(fdf, lo, b_min - eps, True, 1e-15 * (1.0 + abs(lo))))
     omega = np.sqrt(np.maximum(b - beta, 0.0))
     xi = np.zeros(spec.ell + 1)
-    xi[active] = np.sqrt(j[active] / omega[active])
-    h = float(np.sum(j[active] * (omega[active] + b[active] / omega[active])))
+    xi[active] = np.sqrt(ja / omega[active])
+    h = float(np.sum(ja * (omega[active] + ba / omega[active])))
     return RelativeEquilibrium(xi=xi, beta=beta, omega=omega, h=h, j=j)
 
 

@@ -111,6 +111,50 @@ def poly_divide(num, den) -> tuple:
     return q, num[q.size:]
 
 
+# -- one root per bracket ----------------------------------------------------------------
+
+def bracketed_roots(fdf, lo, hi, rising, tol) -> np.ndarray:
+    """One root of f in each bracket (lo, hi), all brackets at once.
+
+    ``fdf(z)`` returns (f, df) at an array of points; f(z) / df(z) is the
+    Newton step, and the sign of f, which changes once in each bracket
+    (from - to + where ``rising``), keeps the bracket.  f is never evaluated
+    at a bracket end, so the ends may be poles.  A Newton step is taken
+    only strictly inside the current bracket, otherwise the bracket is
+    halved (safeguarded Newton, as in secular-equation solvers).  A root is
+    done when the Newton step or the bracket is at most ``tol``, or the
+    bracket reaches float resolution; ``tol = 0`` runs to float resolution.
+    """
+    lo, hi, rising, tol = np.broadcast_arrays(lo, hi, rising, tol)
+    shape = lo.shape
+    lo, hi, tol = (a.astype(float).ravel() for a in (lo, hi, tol))
+    rising = rising.ravel()
+    idx = np.arange(lo.size)
+    roots = np.empty(lo.size)
+    z = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            if idx.size == 0:
+                return roots.reshape(shape)
+            f, df = fdf(z)
+            znew = z - f / df
+            right = (f > 0) == rising
+            lo = np.where(right, lo, z)
+            hi = np.where(right, z, hi)
+            mid = 0.5 * (lo + hi)
+            # convergence first: a converged Newton iterate may sit on the end just moved
+            done = ((f == 0) | (abs(znew - z) <= tol) | (hi - lo <= tol)
+                    | (mid == lo) | (mid == hi))
+            if done.any():
+                # fmax/fmin drop a NaN step, so every root is finite and in its bracket
+                roots[idx[done]] = np.where(f == 0, z, np.fmin(np.fmax(znew, lo), hi))[done]
+                keep = ~done
+                z, znew, lo, hi, mid, rising, tol, idx = (
+                    a[keep] for a in (z, znew, lo, hi, mid, rising, tol, idx))
+            z = np.where((lo < znew) & (znew < hi), znew, mid)
+    raise NumericalFailure("bracketed Newton iteration did not converge")
+
+
 # -- the curve ------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -228,55 +272,13 @@ class SeparatedState:
         object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, float)))
 
 
-def _root_in_interval(xi2, b, lo, hi) -> float:
-    """Unique root of f(z) = sum xi2/(z - b) in (lo, hi); f is strictly decreasing."""
-
-    def f(z):
-        return math.fsum(xi2[s] / (z - b[s]) for s in range(b.size))
-
-    span = hi - lo
-
-    def bracket_end(endpoint, direction, positive):
-        delta = 1e-9 * span
-        while delta > 1e-300:
-            z = endpoint + direction * delta
-            if z != endpoint:
-                val = f(z)
-                if np.isfinite(val) and (val > 0.0) == positive:
-                    return z
-            delta *= 1e-2
-        return endpoint  # root numerically glued to the endpoint
-
-    a = bracket_end(lo, +1.0, True)
-    c = bracket_end(hi, -1.0, False)
-    if a == lo or c == hi:
-        return lo if a == lo else hi
-    for _ in range(80):
-        mid = 0.5 * (a + c)
-        if f(mid) > 0.0:
-            a = mid
-        else:
-            c = mid
-        if c - a <= 1e-15 * span:
-            break
-    z = 0.5 * (a + c)
-    # safeguarded Newton polish
-    for _ in range(3):
-        fz = f(z)
-        dfz = -math.fsum(xi2[s] / (z - b[s]) ** 2 for s in range(b.size))
-        if dfz == 0.0:
-            break
-        step = fz / dfz
-        znew = z - step
-        if not (a <= znew <= c):
-            break
-        z = znew
-    return z
-
-
 def to_separated(spec: SpectrumSpec, w, xi, eta) -> SeparatedState:
     """Separated coordinates u_i (roots of f interlacing b) and momenta p_i.
 
+    The u_i, one in each gap (b_i, b_{i+1}), come from one ``bracketed_roots``
+    call: f = sum xi_sigma^2 / (z - b_sigma) falls from +inf to -inf across the
+    gap and gives the sign, while the Newton steps are those of U = A f, which
+    has no poles: U / U' = f / (f sum 1/(z - b) - sum xi^2/(z - b)^2).
     p_i = (1/2) sum_sigma xi_sigma eta_sigma / (u_i - b_sigma), which agrees
     with udot_i U'(u_i) / (-4 A(u_i)) along the reduced flow.  Requires every
     xi_sigma nonzero so that f keeps a pole at each eigenvalue.
@@ -287,15 +289,19 @@ def to_separated(spec: SpectrumSpec, w, xi, eta) -> SeparatedState:
     if np.any(xi == 0.0):
         raise SingularStratumError("separated chart needs xi_sigma != 0 for every block")
     xi2 = xi ** 2
+
+    def fdf(z):
+        inv = 1.0 / (z[:, None] - b)
+        f = inv @ xi2
+        return f, f * inv.sum(axis=1) - (inv * inv) @ xi2
+
+    u = bracketed_roots(fdf, b[:-1], b[1:], False, 1e-15 * np.diff(b))
     scale = float(np.max(np.abs(b)) + 1.0)
-    u = np.empty(spec.ell)
-    for i in range(spec.ell):
-        u[i] = _root_in_interval(xi2, b, b[i], b[i + 1])
-        if min(abs(u[i] - b[i]), abs(u[i] - b[i + 1])) < CHART_TOL * scale:
-            warnings.warn(
-                f"u_{i + 1} within {CHART_TOL:g}*scale of an eigenvalue: chart degenerate",
-                NearSingularChartWarning,
-            )
+    for i in np.flatnonzero(np.minimum(u - b[:-1], b[1:] - u) < CHART_TOL * scale):
+        warnings.warn(
+            f"u_{i + 1} within {CHART_TOL:g}*scale of an eigenvalue: chart degenerate",
+            NearSingularChartWarning,
+        )
     p = np.array([
         0.5 * math.fsum(xi[s] * eta[s] / (u[i] - b[s]) for s in range(b.size))
         for i in range(spec.ell)

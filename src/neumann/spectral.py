@@ -31,12 +31,13 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 from .model import SpectrumSpec
 from .reduction import SINGULAR_W_TOL
-from .separation import (HyperellipticCurve, a_prime_values, curve_from_energy,
-                         poly_der, poly_divide, poly_eval)
+from .separation import (HyperellipticCurve, a_prime_values, bracketed_roots,
+                         curve_from_energy, poly_der, poly_divide, poly_eval)
 
 #: pairwise root gap (times scale) below which the curve counts as near-critical
 NEAR_CRITICAL_GAP = 1e-8
-#: endpoint-to-eigenvalue distance (times scale) that triggers cycle doubling
+#: endpoint-to-eigenvalue distance (times scale) that, at w_sigma <= SINGULAR_W_TOL,
+#: triggers cycle doubling
 DOUBLING_TOL = 1e-9
 
 
@@ -48,39 +49,32 @@ def _curve_scale(curve: HyperellipticCurve) -> float:
     return float(np.max(np.abs(curve.b)) + 1.0)
 
 
-def _bisect(fn, lo, hi, flo, tol):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if (flo > 0) == (fm > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _roots_structured(curve: HyperellipticCurve) -> np.ndarray:
-    """Real roots for the generic stratum (all w > 0), by interval isolation."""
+    """Real roots for the generic stratum (all w > 0): isolate, then one solver.
+
+    Every root gets a bracket with one sign change of R: the spectator root
+    in (b_0 - span, b_0), with span doubled until R > 0 at its left end, and
+    each pair root between neighbouring nodes of a grid on its gap.  A pair
+    the grid does not resolve is split at the interior maximum of R, itself
+    the root of R' between the grid neighbours of the largest node value.
+    ``bracketed_roots`` takes those maxima in one call and every root of R
+    in a second.
+    """
     b = curve.b
     ell = curve.ell
     scale = _curve_scale(curve)
     tol = 1e-14 * scale
-    rfun = lambda z: float(poly_eval(curve.r, z))
     dr = poly_der(curve.r)
-    roots = []
 
     # spectator root left of b_0 (R -> +inf as z -> -inf)
     span = max(1.0, float(b[-1] - b[0]))
-    lo = b[0] - span
-    while rfun(lo) <= 0.0:
+    while float(poly_eval(curve.r, b[0] - span)) <= 0.0:
         span *= 2.0
-        lo = b[0] - span
         if span > 1e12 * scale:
             raise NumericalFailure("no spectator root found left of the spectrum")
-    roots.append(_bisect(rfun, lo, float(b[0]), rfun(lo), tol))
+    brackets = [(b[0] - span, b[0], False)]
 
+    split = []  # (gap ends, grid neighbours of the largest node value)
     for sigma in range(1, ell + 1):
         a, c = float(b[sigma - 1]), float(b[sigma])
         # include near-endpoint nodes: R < 0 at the eigenvalues when w > 0,
@@ -90,33 +84,37 @@ def _roots_structured(curve: HyperellipticCurve) -> np.ndarray:
                                np.linspace(a, c, 128 * max(1, ell))[1:-1],
                                [c - tiny]])
         vals = poly_eval(curve.r, grid)
-        signs = np.sign(vals)
-        changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+        changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         if changes.size >= 2:
-            for k in (changes[0], changes[-1]):
-                flo = float(vals[k])
-                roots.append(_bisect(rfun, float(grid[k]), float(grid[k + 1]), flo, tol))
-        else:
-            # pair unresolved by the grid: refine around the interior maximum of R
-            k = int(np.argmax(vals))
-            zl, zr = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)])
-            drfun = lambda z: float(poly_eval(dr, z))
-            if drfun(zl) <= 0.0 or drfun(zr) >= 0.0:
-                raise NumericalFailure(
-                    f"branch structure violated in ({a:.6g}, {c:.6g}): no interior maximum"
-                )
-            zmax = _bisect(drfun, zl, zr, drfun(zl), tol)
-            rmax = rfun(zmax)
+            brackets += [(grid[k], grid[k + 1], vals[k] < 0) for k in (changes[0], changes[-1])]
+            continue
+        k = int(np.argmax(vals))
+        zl, zr = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        if poly_eval(dr, zl) <= 0.0 or poly_eval(dr, zr) >= 0.0:
+            raise NumericalFailure(
+                f"branch structure violated in ({a:.6g}, {c:.6g}): no interior maximum"
+            )
+        split.append((a, c, zl, zr))
+
+    roots = []
+    if split:
+        a, c, zl, zr = np.array(split).T
+        d2r = poly_der(dr)
+        zmax = bracketed_roots(lambda z: (poly_eval(dr, z), poly_eval(d2r, z)),
+                               zl, zr, False, tol)
+        for k, rmax in enumerate(poly_eval(curve.r, zmax)):
             if rmax < -NEAR_CRITICAL_GAP * scale:
                 raise NumericalFailure(
-                    f"complex root pair in ({a:.6g}, {c:.6g}): R_max = {rmax:.3e} < 0 "
+                    f"complex root pair in ({a[k]:.6g}, {c[k]:.6g}): R_max = {rmax:.3e} < 0 "
                     "(near-critical or unbounded parameters)"
                 )
             if rmax <= NEAR_CRITICAL_GAP * scale:
-                roots.extend([zmax, zmax])
+                roots += [zmax[k], zmax[k]]
             else:
-                roots.append(_bisect(rfun, zl, zmax, rfun(zl), tol))
-                roots.append(_bisect(rfun, zmax, zr, rfun(zmax), tol))
+                brackets += [(zl[k], zmax[k], True), (zmax[k], zr[k], False)]
+    lo, hi, rising = (np.array(v) for v in zip(*brackets))
+    roots += list(bracketed_roots(lambda z: (poly_eval(curve.r, z), poly_eval(dr, z)),
+                                  lo, hi, rising, tol))
     return np.sort(np.array(roots))
 
 
@@ -213,8 +211,9 @@ def _segment(curve: HyperellipticCurve, roots: np.ndarray | None, i: int) -> tup
         raise ConfigError(f"segment index {i} out of range for genus {curve.ell}")
     zlo, zhi = segments[i]
     scale = _curve_scale(curve)
-    flag = 2 if bool(np.any(np.abs(np.array([zlo, zhi])[:, None] - curve.b[None, :])
-                            < DOUBLING_TOL * scale)) else 1
+    # the cycle doubles only where an end sits at an eigenvalue whose coupling vanishes
+    at_b = np.abs(np.array([zlo, zhi])[:, None] - curve.b[None, :]) < DOUBLING_TOL * scale
+    flag = 2 if bool(np.any(at_b & (curve.w <= SINGULAR_W_TOL))) else 1
     inside = (curve.b > zlo + DOUBLING_TOL * scale) & (curve.b < zhi - DOUBLING_TOL * scale)
     if np.any(inside):
         raise NumericalFailure("an eigenvalue lies strictly inside a branch segment")
@@ -228,7 +227,8 @@ def action_integral(curve: HyperellipticCurve, i: int, tol: float = 1e-11,
     """(I_i, doubling flag) for the i-th branch segment (0-based, ascending).
 
     I_i = flag * (1/2 pi) int_seg sqrt(R(z)) / |A(z)| dz with flag = 2 exactly
-    when a segment endpoint coincides with an eigenvalue.  The square-root
+    when a segment endpoint coincides with an eigenvalue whose coupling
+    vanishes (w_sigma <= SINGULAR_W_TOL).  The square-root
     endpoint behaviour is absorbed by the cosine substitution; node count is
     doubled until self-convergence below ``tol``.  ``roots`` are the curve's
     branch points, isolated here when not given.

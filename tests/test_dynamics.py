@@ -7,7 +7,7 @@ from neumann import (PhasePoint, drift_report, hamiltonian, integrate,
                      integrate_batch, measure_period, relative_equilibrium)
 from neumann.dynamics import (conserved_series, critical_energy_hessian,
                               equilibrium_phase_point, linearized_frequency)
-from neumann.errors import ConfigError, OffManifoldError
+from neumann.errors import ConfigError, NumericalFailure, OffManifoldError
 from neumann.model import random_phase_point, validate_spectrum
 from neumann.reduction import amended_potential_gradient, regular_coordinates
 
@@ -163,6 +163,27 @@ def test_relative_equilibrium_rejections(spec212):
         relative_equilibrium(spec212, [0.5, 0.1, 0.5])  # m=1 block must carry 0
     with pytest.raises(ConfigError):
         relative_equilibrium(spec212, [0.5, 0.0, 0.0])  # m>=2 block needs j > 0
+    with pytest.raises(NumericalFailure):
+        # the sum stays below 1 up to b_min - eps: the root sits unresolved next to the pole
+        relative_equilibrium(validate_spectrum((1.0, 2.0), (2, 2)), [1e-7, 1e-7])
+
+
+def test_relative_equilibrium_single_block_at_bracket_end():
+    # one active block: j / sqrt(-beta) = 1 puts the root exactly on the
+    # closed-form left bracket end b_min - (sum j)^2
+    spec = validate_spectrum((0.0, 1.0), (2, 1))
+    eq = relative_equilibrium(spec, [0.5, 0.0])
+    assert eq.beta == -0.25
+    assert eq.omega[0] == 0.5
+
+
+def test_relative_equilibrium_residual_over_scales(spec222):
+    base = np.array([0.3, 0.5, 0.2])
+    b = np.asarray(spec222.b)
+    for scale in 10.0 ** np.arange(-3.0, 2.5, 0.5):
+        j = scale * base
+        eq = relative_equilibrium(spec222, j)
+        assert abs(np.sum(j / np.sqrt(b - eq.beta)) - 1.0) <= 1e-14
 
 
 def test_critical_energy_hessian(spec22):

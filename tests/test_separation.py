@@ -9,7 +9,7 @@ from neumann import (build_polynomials, from_separated, hamiltonian_separated,
 from neumann.errors import ConfigError, SingularStratumError
 from neumann.model import validate_spectrum
 from neumann.reduction import integrate_reduced
-from neumann.separation import (NearSingularChartWarning, energy_shift,
+from neumann.separation import (NearSingularChartWarning, bracketed_roots, energy_shift,
                                 momentum_from_curve, poly_eval, poly_from_roots,
                                 qtilde_coeffs)
 
@@ -83,13 +83,87 @@ def test_to_separated_l1_closed_form(spec22):
 
 
 def test_separated_roundtrip(spec212, rng):
-    for _ in range(30):
-        rc = random_regular_reduced(spec212, rng)
-        st = to_separated(spec212, rc.w, rc.xi, rc.eta)
-        xi2 = from_separated(spec212, st.u)
-        assert np.allclose(xi2, rc.xi ** 2, atol=1e-10)
-        assert np.sum(xi2) == pytest.approx(1.0, abs=1e-14)
-        assert np.all(xi2 >= 0)
+    spec6 = validate_spectrum(tuple(float(k) for k in range(7)), (2,) * 7)
+    for spec in (spec212, spec6):
+        for _ in range(30):
+            rc = random_regular_reduced(spec, rng)
+            st = to_separated(spec, rc.w, rc.xi, rc.eta)
+            xi2 = from_separated(spec, st.u)
+            assert np.allclose(xi2, rc.xi ** 2, atol=1e-10)
+            assert np.sum(xi2) == pytest.approx(1.0, abs=1e-14)
+            assert np.all(xi2 >= 0)
+
+
+def _newton_calls(fdf):
+    """fdf that also records every point it is evaluated at."""
+    seen = []
+
+    def wrapped(z):
+        seen.append(np.array(z))
+        return fdf(z)
+    return wrapped, seen
+
+
+def test_bracketed_roots_rising_and_falling():
+    # sin has a rising root at 0 and falling roots at pi and 3 pi in these brackets
+    fdf, seen = _newton_calls(lambda z: (np.sin(z), np.cos(z)))
+    roots = bracketed_roots(fdf, [-1.0, 2.0, 8.0], [1.5, 4.0, 11.0], [True, False, False],
+                            1e-15)
+    assert roots == pytest.approx([0.0, np.pi, 3 * np.pi], abs=4e-15)
+    assert len(seen) <= 10
+
+
+def test_bracketed_roots_poles_at_both_ends(rng):
+    # f = sum xi^2 / (z - b) has poles at every bracket end; its roots are those of
+    # U = sum_sigma xi_sigma^2 prod_{tau != sigma} (z - b_tau)
+    b = np.array([0.0, 0.4, 1.1, 2.0, 2.3])
+    for _ in range(10):
+        xi2 = rng.random(b.size) + 1e-3
+        u_poly = sum(x * poly_from_roots(np.delete(b, k)) for k, x in enumerate(xi2))
+        expect = np.sort(np.roots(u_poly).real)
+
+        def fdf(z):
+            d = z[:, None] - b
+            return np.sum(xi2 / d, axis=1), -np.sum(xi2 / d ** 2, axis=1)
+        fdf, seen = _newton_calls(fdf)
+        roots = bracketed_roots(fdf, b[:-1], b[1:], False, 1e-15)
+        assert roots == pytest.approx(expect, abs=1e-12)
+        assert np.all(np.concatenate(seen)[:, None] != b)
+
+
+def test_bracketed_roots_zero_tolerance_stops_at_float_resolution():
+    roots = bracketed_roots(lambda z: (z * z - 2.0, 2.0 * z), [0.0, -3.0], [3.0, 0.0],
+                            [True, False], 0.0)
+    assert roots == pytest.approx([np.sqrt(2.0), -np.sqrt(2.0)], rel=2.3e-16)
+
+
+def test_bracketed_roots_survive_newton_cycle():
+    # unguarded Newton on z^3 - 2z + 2 from 0 cycles 0 -> 1 -> 0
+    fdf = lambda z: (z ** 3 - 2.0 * z + 2.0, 3.0 * z ** 2 - 2.0)
+    newton = lambda z: z - fdf(z)[0] / fdf(z)[1]
+    assert newton(0.0) == 1.0 and newton(1.0) == 0.0
+    root = bracketed_roots(fdf, -3.0, 2.0, True, 1e-15)
+    expect = np.roots([1.0, 0.0, -2.0, 2.0])
+    assert root == pytest.approx(expect[np.abs(expect.imag) < 1e-12].real[0], abs=1e-14)
+
+
+def test_bracketed_roots_never_step_onto_an_end():
+    # from the midpoint 1 the first Newton step lands exactly on the end 0, a
+    # pole in the callers' use; it must be rejected, not evaluated
+    fdf, seen = _newton_calls(lambda z: (np.log(z) - np.log(0.5), np.log(z) - np.log(0.5)))
+    root = bracketed_roots(fdf, 0.0, 2.0, True, 1e-15)
+    assert root == pytest.approx(0.5, abs=1e-15)
+    seen = np.concatenate(seen)
+    assert np.all((seen > 0.0) & (seen < 2.0))
+
+
+def test_bracketed_roots_zero_derivative_falls_back():
+    # a callback whose derivative is 0 gives no Newton step: bisection must still
+    # return a finite root
+    for df in (np.zeros_like, lambda z: np.full_like(z, np.nan)):
+        root = bracketed_roots(lambda z: (z - 0.3, df(z)), 0.0, 1.0, True, 1e-13)
+        assert np.isfinite(root)
+        assert root == pytest.approx(0.3, abs=1e-13)
 
 
 def test_from_separated_examples(spec22):

@@ -275,7 +275,7 @@ def test_period_lattice_small_coupling(spec222):
     h = float(rho[0]) + energy_shift(spec222)
     assert list(action_integrals(curve_from_energy(spec222, w, h, (rho[1],)))[1]) == [1, 2]
     previous = None
-    for w2 in (1e-4, 1e-6, 1e-8):
+    for w2 in (1e-4, 1e-6, 1e-8, 1e-9):
         w[2] = w2
         lat = period_lattice(spec222, w, h, extra_rho=(float(rho[1]),))
         assert np.all(lat.flags == 1)
