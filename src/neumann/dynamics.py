@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure, OffManifoldError
 from .model import (PhasePoint, SpectrumSpec, check_on_manifold, integrate_projected,
                     rk4_projected_step)
+from .poisson import _block_casimirs, _l_matrix, _uhlenbeck
 from .reduction import amended_gradient, reduced_vector_field
 from .separation import bracketed_roots
 
@@ -117,19 +118,14 @@ def conserved_series(spec: SpectrumSpec, traj: Trajectory) -> dict:
     out["C1"] = np.sum(x * x, axis=-1)
     out["C2"] = np.sum(x * y, axis=-1)
     # all pairwise angular momenta, shape (N, ..., n+1, n+1)
-    L = x[..., :, None] * y[..., None, :] - y[..., :, None] * x[..., None, :]
+    L = _l_matrix(x, y)
+    f = np.add.reduceat(_uhlenbeck(a, x, L), spec.block_starts, axis=-1)
+    w = _block_casimirs(spec, L)
     for sigma in range(spec.ell + 1):
-        sl = spec.block_slice(sigma)
-        f = np.sum(x[..., sl] ** 2, axis=-1)
-        for tau in range(spec.ell + 1):
-            if tau == sigma:
-                continue
-            tsl = spec.block_slice(tau)
-            f = f + np.sum(L[..., sl, tsl] ** 2, axis=(-1, -2)) / (spec.b[sigma] - spec.b[tau])
-        out[f"F_{sigma}"] = f
+        out[f"F_{sigma}"] = f[..., sigma]
         if spec.m[sigma] >= 2:
             idx = spec.block_indices(sigma)
-            out[f"W_{sigma}"] = 0.5 * np.sum(L[..., sl, sl] ** 2, axis=(-1, -2))
+            out[f"W_{sigma}"] = w[..., sigma]
             for ai in range(len(idx)):
                 for bi in range(ai + 1, len(idx)):
                     out[f"L_{idx[ai]}{idx[bi]}"] = L[..., idx[ai], idx[bi]]
@@ -178,7 +174,8 @@ def relative_equilibrium(spec: SpectrumSpec, j) -> RelativeEquilibrium:
     Blocks with m_sigma = 1 must carry j_sigma = 0 and get xi_sigma = 0;
     blocks with m_sigma >= 2 need j_sigma > 0.  The left side is monotone
     increasing in beta and spans (0, infinity), so a root always exists; it
-    lies in (b_min - (sum j)^2, b_min) and comes from ``bracketed_roots``.
+    lies in (b_min - (sum j)^2, b_min).  ``bracketed_roots`` solves for
+    t = b_min - beta on (0, (sum j)^2), and omega = sqrt((b - b_min) + t).
     """
     j = np.asarray(j, dtype=float)
     if j.size != spec.ell + 1:
@@ -194,19 +191,22 @@ def relative_equilibrium(spec: SpectrumSpec, j) -> RelativeEquilibrium:
         raise ConfigError("no block carries momentum: no relative equilibrium in this stratum")
     ja, ba = j[active], b[active]
     b_min = float(np.min(ba))
+    # solve for t = b_min - beta > 0, so that b - beta = (b - b_min) + t keeps
+    # the digits of t however far b_min is from 0
+    gap = ba - b_min
     eps = 1e-14 * (1.0 + abs(b_min))
     # a root closer to the pole than eps is not resolved: raise rather than guess
-    if float(np.sum(ja / np.sqrt(ba - (b_min - eps)))) < 1.0:
+    if float(np.sum(ja / np.sqrt(gap + eps))) < 1.0:
         raise NumericalFailure("root bracket failed at the singular end")
 
-    def fdf(beta):
-        root = np.sqrt(ba - beta[:, None])
-        return (ja / root).sum(axis=1) - 1.0, 0.5 * (ja / root ** 3).sum(axis=1)
+    def fdf(t):
+        root = np.sqrt(gap + t[:, None])
+        return 1.0 - (ja / root).sum(axis=1), 0.5 * (ja / root ** 3).sum(axis=1)
 
-    # at b_min - (sum j)^2 every term is at most j / sum j, so the sum is <= 1
-    lo = b_min - float(np.sum(ja)) ** 2
-    beta = float(bracketed_roots(fdf, lo, b_min - eps, True, 1e-15 * (1.0 + abs(lo))))
-    omega = np.sqrt(np.maximum(b - beta, 0.0))
+    # at t = (sum j)^2 every term is at most j / sum j, so the sum is <= 1
+    t = float(bracketed_roots(fdf, eps, float(np.sum(ja)) ** 2, True, 0.0))
+    beta = b_min - t
+    omega = np.sqrt(np.maximum((b - b_min) + t, 0.0))
     xi = np.zeros(spec.ell + 1)
     xi[active] = np.sqrt(ja / omega[active])
     h = float(np.sum(ja * (omega[active] + ba / omega[active])))

@@ -8,7 +8,10 @@ C2 = <x,y> become Casimirs:
 Conserved quantities: intra-block angular momenta L_ik, the per-block
 Casimirs W_sigma = sum_{i<k} L_ik^2, the degenerate integrals F_sigma, and
 for a non-degenerate eigenvalue list the classical integrals of the generic
-system.  The total angular momentum J generates a 2*pi-periodic flow.
+system.  The quadratic ones all come from the matrix of all L_kl on
+(..., n+1) arrays: the Uhlenbeck terms x_k^2 + sum L_kl^2 / (a_k - a_l) over
+a_l != a_k are the generic integrals, and their block sums are the F_sigma.
+The total angular momentum J generates a 2*pi-periodic flow.
 """
 from __future__ import annotations
 
@@ -60,6 +63,41 @@ class Observable:
             fm = self._value(PhasePoint(zm[:n1], zm[n1:]))
             grad[k] = (fp - fm) / (2 * h)
         return grad
+
+
+# -- the quadratic integrals, on (..., n+1) arrays ------------------------------
+
+def _l_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """All angular momenta L_kl = x_k y_l - x_l y_k, shape (..., n+1, n+1)."""
+    xy = x[..., :, None] * y[..., None, :]
+    return xy - np.swapaxes(xy, -1, -2)
+
+
+def _inverse_gaps(a: np.ndarray) -> np.ndarray:
+    """1 / (a_k - a_l) where a_k != a_l, and 0 where they are equal."""
+    gaps = a[:, None] - a[None, :]
+    return np.divide(1.0, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
+
+
+def _uhlenbeck(a: np.ndarray, x: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """``uhlenbeck_terms`` from an L already formed."""
+    return x * x + np.einsum("...kl,kl->...k", L * L, _inverse_gaps(a))
+
+
+def _block_casimirs(spec: SpectrumSpec, L: np.ndarray) -> np.ndarray:
+    """W_sigma = (1/2) sum_{k,l in sigma} L_kl^2 for every block, shape (..., ell+1)."""
+    same = (spec.a_vec[:, None] == spec.a_vec).astype(float)
+    rows = np.einsum("...kl,kl->...k", L * L, same)
+    return 0.5 * np.add.reduceat(rows, spec.block_starts, axis=-1)
+
+
+def uhlenbeck_terms(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """F~_k = x_k^2 + sum_{a_l != a_k} L_kl^2 / (a_k - a_l) on (..., n+1) arrays.
+
+    For distinct a these are the Uhlenbeck integrals of the non-degenerate
+    system; the terms with a_l = a_k, the intra-block ones, are dropped.
+    """
+    return _uhlenbeck(np.asarray(a, dtype=float), x, _l_matrix(x, y))
 
 
 # -- built-in observables with analytic gradients -------------------------------
@@ -118,48 +156,30 @@ def angular_momentum_observable(i: int, k: int) -> Observable:
     return Observable(lambda p: angular_momentum(p, i, k), grad, name=f"L_{i}{k}")
 
 
-def _block_l_matrix(p: PhasePoint, idx: np.ndarray) -> np.ndarray:
-    xb, yb = p.x[idx], p.y[idx]
-    return np.outer(xb, yb) - np.outer(yb, xb)
+def _quadratic_observable(c: np.ndarray, m: np.ndarray, name: str) -> Observable:
+    """Q = sum_k c_k x_k^2 + sum_kl m_kl L_kl^2 with its analytic gradient.
+
+    With w = 2 m o L the gradient is (2 c o x + (w - w^T) y, (w^T - w) x).
+    """
+    def value(p):
+        L = _l_matrix(p.x, p.y)
+        return np.dot(c, p.x * p.x) + np.sum(m * L * L)
+
+    def grad(p):
+        w = 2.0 * m * _l_matrix(p.x, p.y)
+        return np.concatenate([2.0 * c * p.x + (w - w.T) @ p.y, (w.T - w) @ p.x])
+
+    return Observable(value, grad, name=name)
 
 
 def casimir_w_observable(spec: SpectrumSpec, sigma: int) -> Observable:
-    idx = spec.block_indices(sigma)
-
-    def value(p):
-        L = _block_l_matrix(p, idx)
-        return 0.5 * np.sum(L * L)
-
-    def grad(p):
-        L = _block_l_matrix(p, idx)
-        g = np.zeros(2 * p.dim)
-        g[idx] = 2.0 * L @ p.y[idx]
-        g[p.dim + idx] = -2.0 * L @ p.x[idx]
-        return g
-
-    return Observable(value, grad, name=f"W_{sigma}")
+    c = (spec.a_vec == spec.b[sigma]).astype(float)
+    return _quadratic_observable(np.zeros_like(c), 0.5 * np.outer(c, c), f"W_{sigma}")
 
 
 def integral_f_observable(spec: SpectrumSpec, sigma: int) -> Observable:
-    def grad(p):
-        n1 = p.dim
-        g = np.zeros(2 * n1)
-        idx_s = spec.block_indices(sigma)
-        g[idx_s] += 2.0 * p.x[idx_s]
-        for tau in range(spec.ell + 1):
-            if tau == sigma:
-                continue
-            idx_t = spec.block_indices(tau)
-            denom = spec.b[sigma] - spec.b[tau]
-            # L restricted to rows in sigma, columns in tau
-            L = np.outer(p.x[idx_s], p.y[idx_t]) - np.outer(p.y[idx_s], p.x[idx_t])
-            g[idx_s] += 2.0 * (L @ p.y[idx_t]) / denom
-            g[n1 + idx_s] += -2.0 * (L @ p.x[idx_t]) / denom
-            g[idx_t] += -2.0 * (L.T @ p.y[idx_s]) / denom
-            g[n1 + idx_t] += 2.0 * (L.T @ p.x[idx_s]) / denom
-        return g
-
-    return Observable(lambda p: integral_f(spec, p, sigma), grad, name=f"F_{sigma}")
+    c = (spec.a_vec == spec.b[sigma]).astype(float)
+    return _quadratic_observable(c, c[:, None] * _inverse_gaps(spec.a_vec), f"F_{sigma}")
 
 
 # -- brackets -------------------------------------------------------------------
@@ -201,42 +221,36 @@ class MomentumValue:
 
 
 def momentum_map(spec: SpectrumSpec, p: PhasePoint) -> MomentumValue:
+    L = _l_matrix(p.x, p.y)
     mu, j_signed = {}, {}
-    w = np.zeros(spec.ell + 1)
-    for sigma in range(spec.ell + 1):
-        if spec.m[sigma] < 2:
-            continue
-        L = _block_l_matrix(p, spec.block_indices(sigma))
-        mu[sigma] = L
-        w[sigma] = 0.5 * np.sum(L * L)
+    for sigma in spec.degenerate_blocks:
+        mu[sigma] = L[spec.block_slice(sigma), spec.block_slice(sigma)]
         if spec.m[sigma] == 2:
-            j_signed[sigma] = L[0, 1]
-    return MomentumValue(mu=mu, w=w, j_signed=j_signed)
+            j_signed[sigma] = mu[sigma][0, 1]
+    return MomentumValue(mu=mu, w=_block_casimirs(spec, L), j_signed=j_signed)
 
 
 def integral_f(spec: SpectrumSpec, p: PhasePoint, sigma: int) -> float:
-    """Degenerate-case integral F_sigma.
+    """Degenerate-case integral F_sigma; see ``integrals_f``."""
+    return float(integrals_f(spec, p)[sigma])
+
+
+def integrals_f(spec: SpectrumSpec, p: PhasePoint) -> np.ndarray:
+    """F_sigma for every block: the block sums of the Uhlenbeck terms.
 
     F_sigma = sum_{i in I_sigma} x_i^2
             + sum_{tau != sigma} sum_{k in I_sigma, l in I_tau} L_kl^2 / (b_sigma - b_tau).
     """
-    idx_s = spec.block_indices(sigma)
-    total = float(np.sum(p.x[idx_s] ** 2))
-    for tau in range(spec.ell + 1):
-        if tau == sigma:
-            continue
-        idx_t = spec.block_indices(tau)
-        L = np.outer(p.x[idx_s], p.y[idx_t]) - np.outer(p.y[idx_s], p.x[idx_t])
-        total += float(np.sum(L * L)) / (spec.b[sigma] - spec.b[tau])
-    return total
-
-
-def integrals_f(spec: SpectrumSpec, p: PhasePoint) -> np.ndarray:
-    return np.array([integral_f(spec, p, s) for s in range(spec.ell + 1)])
+    return np.add.reduceat(uhlenbeck_terms(spec.a_vec, p.x, p.y), spec.block_starts, axis=-1)
 
 
 def generic_integral(a: np.ndarray, p: PhasePoint, nu: int) -> float:
-    """Uhlenbeck integral of the non-degenerate system with eigenvalues ``a``.
+    """Uhlenbeck integral F~_nu of the non-degenerate system; see ``generic_integrals``."""
+    return float(generic_integrals(a, p)[nu])
+
+
+def generic_integrals(a: np.ndarray, p: PhasePoint) -> np.ndarray:
+    """Uhlenbeck integrals of the non-degenerate system with eigenvalues ``a``.
 
     F~_nu = x_nu^2 + sum_{mu != nu} L_{nu mu}^2 / (a_nu - a_mu); requires the
     a_nu to be pairwise distinct.
@@ -244,20 +258,9 @@ def generic_integral(a: np.ndarray, p: PhasePoint, nu: int) -> float:
     a = np.asarray(a, dtype=float)
     if a.size != p.dim:
         raise ConfigError("generic integral needs one eigenvalue per coordinate")
-    diffs = a[nu] - np.delete(a, nu)
-    if np.any(diffs == 0.0):
+    if np.unique(a).size != a.size:
         raise ConfigError("generic integrals require pairwise distinct eigenvalues")
-    total = float(p.x[nu] ** 2)
-    for mu in range(a.size):
-        if mu == nu:
-            continue
-        L = p.x[nu] * p.y[mu] - p.x[mu] * p.y[nu]
-        total += L * L / (a[nu] - a[mu])
-    return total
-
-
-def generic_integrals(a: np.ndarray, p: PhasePoint) -> np.ndarray:
-    return np.array([generic_integral(a, p, nu) for nu in range(p.dim)])
+    return uhlenbeck_terms(a, p.x, p.y)
 
 
 # -- total angular momentum and its periodic flow --------------------------------

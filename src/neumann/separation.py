@@ -39,21 +39,12 @@ class NearSingularChartWarning(UserWarning):
 # inputs and rounds once per coefficient, so stored coefficient lists are
 # correctly rounded; degrees stay <= 2*ell + 1 with ell <= 6 supported.
 
-def _exact_list(values):
-    return [v if isinstance(v, Fraction) else Fraction(float(v)) for v in values]
-
-
 def _exact_conv(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
-
-
-def poly_mul(a, b) -> np.ndarray:
-    """Exact coefficient convolution, rounded once per coefficient."""
-    return np.array([float(c) for c in _exact_conv(_exact_list(a), _exact_list(b))])
 
 
 def a_prime_values(b) -> np.ndarray:

@@ -9,6 +9,7 @@ from neumann.dynamics import (conserved_series, critical_energy_hessian,
                               equilibrium_phase_point, linearized_frequency)
 from neumann.errors import ConfigError, NumericalFailure, OffManifoldError
 from neumann.model import random_phase_point, validate_spectrum
+from neumann.poisson import integrals_f, momentum_map
 from neumann.reduction import amended_potential_gradient, regular_coordinates
 
 from conftest import random_regular_reduced
@@ -186,6 +187,14 @@ def test_relative_equilibrium_residual_over_scales(spec222):
         assert abs(np.sum(j / np.sqrt(b - eq.beta)) - 1.0) <= 1e-14
 
 
+def test_relative_equilibrium_far_from_zero():
+    # b_min = 1e8: solving for t = b_min - beta keeps the digits of omega
+    spec = validate_spectrum((1e8, 1e8 + 1.0), (2, 2))
+    j = 1e-3 * np.array([1.0, 2.0])
+    eq = relative_equilibrium(spec, j)
+    assert abs(np.sum(j / eq.omega) - 1.0) <= 1e-14
+
+
 def test_critical_energy_hessian(spec22):
     j = np.array([0.5, 0.5])
     grad, hess = critical_energy_hessian(spec22, j)
@@ -250,3 +259,10 @@ def test_conserved_series_contains_all_columns(spec212, rng):
     series = conserved_series(spec212, traj)
     assert {"H", "C1", "C2", "F_0", "F_1", "F_2", "W_0", "W_2",
             "L_01", "L_34"} <= set(series)
+    for k in range(traj.n_samples):
+        p = traj.point(k)
+        f, w = integrals_f(spec212, p), momentum_map(spec212, p).w
+        for sigma in range(spec212.ell + 1):
+            assert series[f"F_{sigma}"][k] == pytest.approx(f[sigma], rel=1e-14, abs=1e-15)
+        for sigma in spec212.degenerate_blocks:
+            assert series[f"W_{sigma}"][k] == pytest.approx(w[sigma], rel=1e-14, abs=1e-15)

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from neumann import (PhasePoint, angular_momentum, dirac_bracket, generic_integral,
                      integral_f, j_flow, j_total, momentum_map)
 from neumann.errors import ConfigError, NumericalFailure
-from neumann.model import random_phase_point
+from neumann.model import random_phase_point, validate_spectrum
 from neumann.poisson import (Observable, angular_momentum_observable,
                              c1_observable, c2_observable,
                              casimir_w_observable, coordinate_observable,
@@ -28,11 +28,13 @@ def all_conserved_observables(spec):
 
 
 def test_analytic_gradients_match_finite_differences(spec212, rng):
-    for _ in range(5):
-        p = random_phase_point(spec212, rng)
-        for obs in all_conserved_observables(spec212) + [hamiltonian_observable(spec212)]:
-            fd = Observable(obs._value)  # same value, FD gradient
-            assert np.allclose(obs.gradient(p), fd.gradient(p), atol=1e-7), obs.name
+    spec3121 = validate_spectrum((0.0, 1.0, 2.5, 4.0), (3, 1, 2, 1))
+    for spec in (spec212, spec3121):
+        for _ in range(5):
+            p = random_phase_point(spec, rng)
+            for obs in all_conserved_observables(spec) + [hamiltonian_observable(spec)]:
+                fd = Observable(obs._value)  # same value, FD gradient
+                assert np.allclose(obs.gradient(p), fd.gradient(p), atol=1e-7), obs.name
 
 
 def test_dirac_bracket_coordinate_table(spec22, rng):
@@ -110,6 +112,17 @@ def test_momentum_map_equivariance(spec212, rng):
             assert np.allclose(mv2.mu[sigma], g @ mv.mu[sigma] @ g.T, atol=1e-12)
 
 
+def uhlenbeck_loop(a, p):
+    """x_k^2 + sum_{a_l != a_k} L_kl^2 / (a_k - a_l), written out term by term."""
+    out = np.empty(p.dim)
+    for k in range(p.dim):
+        out[k] = p.x[k] ** 2
+        for l in range(p.dim):
+            if a[l] != a[k]:
+                out[k] += angular_momentum(p, k, l) ** 2 / (a[k] - a[l])
+    return out
+
+
 def test_integral_f_examples(spec22, rng):
     p = PhasePoint([0, 0, 1, 0], [0, 1, 0, 0])
     assert integral_f(spec22, p, 0) == pytest.approx(-1.0)
@@ -118,6 +131,8 @@ def test_integral_f_examples(spec22, rng):
     for _ in range(20):
         q = random_phase_point(spec22, rng)
         f = integrals_f(spec22, q)
+        ref = uhlenbeck_loop(spec22.a_vec, q)
+        assert np.allclose(f, [ref[:2].sum(), ref[2:].sum()], rtol=1e-13, atol=1e-13)
         assert np.sum(f) == pytest.approx(np.dot(q.x, q.x), rel=1e-12)
         mv = momentum_map(spec22, q)
         h = 0.5 * np.sum(np.asarray(spec22.b) * f + mv.w)
@@ -168,6 +183,8 @@ def test_generic_integrals_and_limits(rng):
         p = PhasePoint(rng.normal(size=5), rng.normal(size=5))
         assert np.sum(generic_integrals(a, p)) == pytest.approx(
             np.dot(p.x, p.x), rel=1e-10)
+        assert np.allclose(generic_integrals(a, p), uhlenbeck_loop(a, p),
+                           rtol=1e-12, atol=1e-12)
 
     with pytest.raises(ConfigError):
         generic_integral(np.array([0.0, 0.0, 1.0]), PhasePoint([1, 0, 0], [0, 1, 0]), 0)
