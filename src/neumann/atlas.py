@@ -167,6 +167,13 @@ def _gap_products(b: np.ndarray, s) -> np.ndarray:
     return np.prod(b[:, None] - s[..., None, :], axis=-1)
 
 
+def _boundary_j(b: np.ndarray, s, r) -> tuple:
+    """(j, omega) on the corank-ell stratum: omega = sqrt(b - r) and
+    j = omega prod_k (b - s_k) / A'(b), for one (s, r) or stacks (..., ell), (...)."""
+    omega = np.sqrt(b - np.asarray(r, float)[..., None])
+    return omega * _gap_products(b, s) / a_prime_values(b), omega
+
+
 def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     """Relative equilibrium with frozen coordinates s_k and spectator root r.
 
@@ -182,8 +189,7 @@ def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
         raise ConfigError("frozen coordinates must interlace the eigenvalues")
     if np.any(b - r < 0.0):
         raise ConfigError("spectator root r must satisfy r <= b_sigma")
-    omega = np.sqrt(b - r)
-    j = omega * _gap_products(b, s) / a_prime_values(b)
+    j, omega = _boundary_j(b, s, r)
 
     # constants from exact polynomial division: Q = (Qt - R_target) / A
     r_target = -poly_from_roots(np.concatenate([s, s, [r]]))
@@ -232,18 +238,11 @@ class BoundaryReport:
     convex_verdict: bool = False
 
 
-def _sample_chamber(spec: SpectrumSpec, n_samples: int, rng: np.random.Generator,
-                    margin: float = 0.01) -> np.ndarray:
-    b = np.asarray(spec.b)
-    lo = b[:-1] + margin * np.diff(b)
-    hi = b[1:] - margin * np.diff(b)
-    return lo + (hi - lo) * rng.random((n_samples, spec.ell))
-
-
-def p_factor(spec: SpectrumSpec, h: float, s) -> float:
-    """P = prod_i (h + s_i + 2 S), S = sum s_i; positive above the threshold."""
+def p_factor(spec: SpectrumSpec, h: float, s):
+    """P = prod_i (h + s_i + 2 S), S = sum s_i, for one s or a stack (..., ell);
+    positive above the threshold."""
     s = np.atleast_1d(np.asarray(s, float))
-    return float(np.prod(h + s + 2.0 * np.sum(s)))
+    return np.prod(h + s + 2.0 * np.sum(s, axis=-1, keepdims=True), axis=-1)
 
 
 def convexity_check(spec: SpectrumSpec, h: float, n_samples: int = 64,
@@ -255,6 +254,7 @@ def convexity_check(spec: SpectrumSpec, h: float, n_samples: int = 64,
     differences through relative_equilibrium), the Hessian
     2 (O/P) / (omega_s omega_t) is rank one and positive with eigenvector
     proportional to 1/omega, and midpoint convexity holds over sampled pairs.
+    Every critical value comes from one of two stacked relative_equilibrium calls.
     """
     h_star = convexity_threshold(spec)
     report = BoundaryReport(h=h, h_star=h_star, threshold_met=h > h_star,
@@ -262,68 +262,56 @@ def convexity_check(spec: SpectrumSpec, h: float, n_samples: int = 64,
     if not report.threshold_met:
         return report
     rng = np.random.default_rng(seed)
-    svals = _sample_chamber(spec, n_samples, rng)
+    b = np.asarray(spec.b)
+    lo, hi = b[:-1] + 0.01 * np.diff(b), b[1:] - 0.01 * np.diff(b)
+    svals = lo + (hi - lo) * rng.random((n_samples, spec.ell))
     ell1 = spec.ell + 1
-    js = np.empty((n_samples, ell1))
-    oms = np.empty((n_samples, ell1))
-    pvals = np.empty(n_samples)
-    ovals = np.empty(n_samples)
-    grad_err = 0.0
-    second_ratio = 0.0
-    eigvec_err = 0.0
-    form_diff = 0.0
+    js, oms = _boundary_j(b, svals, -h - 2.0 * np.sum(svals, axis=1))
+    pvals = p_factor(spec, h, svals)
+    ovals = np.prod(oms ** 2, axis=1)
 
-    def h_c(j):
-        return relative_equilibrium(spec, j).h
+    # centred differences: row (k, sigma) moves j_sigma of sample k by +-step
+    step = fd_rel * np.maximum(1.0, js)
+    shift = np.eye(ell1) * step[:, :, None]
+    h_fd = relative_equilibrium(spec, np.concatenate(
+        [js[:, None, :] + shift, js[:, None, :] - shift]).reshape(-1, ell1)).h
+    hp, hm = h_fd.reshape(2, n_samples, ell1)
+    grad_fd = (hp - hm) / (2 * step)
+    grad_err = np.max(np.abs(grad_fd - 2.0 * oms) / np.maximum(1.0, 2.0 * oms), initial=0.0)
 
-    for k in range(n_samples):
-        sample = equilibrium_stratum_at_energy(spec, h, svals[k])
-        js[k] = sample.j
-        oms[k] = sample.omega
-        pvals[k] = p_factor(spec, h, sample.s)
-        ovals[k] = float(np.prod(sample.omega ** 2))
-        # gradient by centered differences of the critical value
-        for sigma in range(ell1):
-            step = fd_rel * max(1.0, sample.j[sigma])
-            jp, jm = sample.j.copy(), sample.j.copy()
-            jp[sigma] += step
-            jm[sigma] -= step
-            grad_fd = (h_c(jp) - h_c(jm)) / (2 * step)
-            grad_err = max(grad_err, abs(grad_fd - 2.0 * sample.omega[sigma])
-                           / max(1.0, 2.0 * sample.omega[sigma]))
-        hess = 2.0 * (ovals[k] / pvals[k]) / np.outer(sample.omega, sample.omega)
-        denom = float(np.sum(sample.j / sample.omega ** 3))
-        hess_eq = 2.0 / np.outer(sample.omega, sample.omega) / denom
-        form_diff = max(form_diff, float(np.max(np.abs(hess - hess_eq)))
-                         / max(1.0, float(np.max(np.abs(hess)))))
-        eig, vec = np.linalg.eigh(hess)
-        second_ratio = max(second_ratio, float(np.max(np.abs(eig[:-1]))) / eig[-1])
-        v = vec[:, -1]
-        ref = (1.0 / sample.omega) / np.linalg.norm(1.0 / sample.omega)
-        eigvec_err = max(eigvec_err, float(min(np.max(np.abs(v - ref)),
-                                               np.max(np.abs(v + ref)))))
+    outer = oms[:, :, None] * oms[:, None, :]
+    hess = 2.0 * (ovals / pvals)[:, None, None] / outer
+    denom = np.sum(js / oms ** 3, axis=1)
+    hess_eq = 2.0 / outer / denom[:, None, None]
+    form_diff = np.max(np.max(np.abs(hess - hess_eq), axis=(1, 2))
+                       / np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2))), initial=0.0)
+    eig, vec = np.linalg.eigh(hess)
+    second_ratio = np.max(np.max(np.abs(eig[:, :-1]), axis=1) / eig[:, -1], initial=0.0)
+    inv = 1.0 / oms
+    # |1/omega| by matmul, which sums like the dot product of a single norm
+    ref = inv / np.sqrt(inv[:, None, :] @ inv[:, :, None])[:, 0]
+    eigvec_err = np.max(np.minimum(np.max(np.abs(vec[:, :, -1] - ref), axis=1),
+                                   np.max(np.abs(vec[:, :, -1] + ref), axis=1)), initial=0.0)
 
-    violations, max_slack = 0, -np.inf
-    for _ in range(n_pairs):
-        ia, ib = rng.integers(0, n_samples, size=2)
-        ja, jb = js[ia], js[ib]
-        slack = h_c(0.5 * (ja + jb)) - 0.5 * (h_c(ja) + h_c(jb))
-        max_slack = max(max_slack, slack)
-        if slack > 1e-9:
-            violations += 1
+    pairs = rng.integers(0, n_samples, size=(n_pairs, 2))
+    ja, jb = js[pairs[:, 0]], js[pairs[:, 1]]
+    h_mid, h_a, h_b = relative_equilibrium(
+        spec, np.concatenate([0.5 * (ja + jb), ja, jb])).h.reshape(3, n_pairs)
+    slack = h_mid - 0.5 * (h_a + h_b)
+    violations = int(np.sum(slack > 1e-9))
 
     report.samples_s = svals
     report.samples_j = js
     report.omegas = oms
     report.p_values = pvals
     report.o_values = ovals
-    report.grad_max_err = grad_err
-    report.hessian_second_eig_ratio = second_ratio
-    report.eigvec_max_err = eigvec_err
-    report.hessian_form_max_diff = form_diff
+    report.grad_max_err = float(grad_err)
+    report.hessian_second_eig_ratio = float(second_ratio)
+    report.eigvec_max_err = float(eigvec_err)
+    report.hessian_form_max_diff = float(form_diff)
     report.midpoint_pairs = n_pairs
     report.midpoint_violations = violations
-    report.midpoint_max_slack = max_slack
+    report.midpoint_max_slack = float(np.max(slack, initial=-np.inf))
     report.convex_verdict = (violations == 0 and bool(np.all(pvals > 0.0)))
     return report
 
@@ -367,11 +355,9 @@ def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> Poly
         if spec.ell > 1 else grids[0][:, None]
     if svals.shape[0] > 4096:
         svals = svals[:: max(1, svals.shape[0] // 4096)]
-    a_prime = a_prime_values(b)
-    prods = _gap_products(b, svals)
-    model = prods / a_prime
-    r = -h_values[:, None] - 2.0 * np.sum(svals, axis=1)
-    rescaled = np.sqrt(b - r[..., None]) * prods / a_prime / np.sqrt(h_values)[:, None, None]
+    model = polyhedron_model(spec, svals)
+    j, _ = _boundary_j(b, svals, -h_values[:, None] - 2.0 * np.sum(svals, axis=1))
+    rescaled = j / np.sqrt(h_values)[:, None, None]
     devs = np.max(np.abs(rescaled - model), axis=(1, 2))
 
     ruled = 0.0
@@ -382,7 +368,7 @@ def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> Poly
         t2_mid = float(np.prod(mid))
         t2_grid = np.linspace(0.9 * t2_mid, 1.1 * t2_mid, 21)
         omega = np.sqrt(h + b - 2.0 * t1)
-        jline = np.array([omega * (b ** 2 + t1 * b + t2) / a_prime for t2 in t2_grid])
+        jline = omega * (b ** 2 + t1 * b + t2_grid[:, None]) / a_prime_values(b)
         second = np.abs(jline[2:] - 2 * jline[1:-1] + jline[:-2])
         ruled = float(np.max(second))
     return PolyhedronReport(h_values=h_values, deviations=devs, samples_s=svals,

@@ -267,10 +267,10 @@ def cmd_equilibria(args, cfg) -> int:
     j_list = exp.get("j_grid") or [exp.get("j")]
     if j_list == [None]:
         raise ConfigError("experiment: equilibria needs j or j_grid")
-    rows = []
-    for j in j_list:
-        eq = dynamics.relative_equilibrium(spec, np.asarray(j, float))
-        rows.append([*eq.j, eq.beta, *eq.omega, *eq.xi, eq.h, eq.energy])
+    if len({np.size(j) for j in j_list}) != 1:
+        raise ConfigError("need one momentum value per block")
+    eq = dynamics.relative_equilibrium(spec, np.asarray(j_list, float))
+    rows = np.column_stack([eq.j, eq.beta, eq.omega, eq.xi, eq.h, eq.energy])
     ell1 = spec.ell + 1
     columns = ([f"j_{s}" for s in range(ell1)] + ["beta"]
                + [f"omega_{s}" for s in range(ell1)] + [f"xi_{s}" for s in range(ell1)]

@@ -176,55 +176,61 @@ def relative_equilibrium(spec: SpectrumSpec, j) -> RelativeEquilibrium:
     increasing in beta and spans (0, infinity), so a root always exists; it
     lies in (b_min - (sum j)^2, b_min).  ``bracketed_roots`` solves for
     t = b_min - beta on (0, (sum j)^2), and omega = sqrt((b - b_min) + t).
+    A stack j of shape (N, ell+1) is solved in one call: every field gains an axis of N.
     """
     j = np.asarray(j, dtype=float)
-    if j.size != spec.ell + 1:
+    if j.ndim not in (1, 2) or j.shape[-1] != spec.ell + 1:
         raise ConfigError("need one momentum value per block")
+    rows = np.atleast_2d(j)
     b = np.asarray(spec.b)
+    nonzero, nonpositive = (rows != 0.0).any(axis=0), (rows <= 0.0).any(axis=0)
     for sigma in range(spec.ell + 1):
-        if spec.m[sigma] == 1 and j[sigma] != 0.0:
+        if spec.m[sigma] == 1 and nonzero[sigma]:
             raise ConfigError(f"block {sigma} has multiplicity 1: j_{sigma} must be 0")
-        if spec.m[sigma] >= 2 and j[sigma] <= 0.0:
+        if spec.m[sigma] >= 2 and nonpositive[sigma]:
             raise ConfigError(f"block {sigma} needs j_{sigma} > 0 in the regular range")
-    active = j > 0
+    # valid momenta are active (j > 0) on exactly the blocks with m >= 2
+    active = np.asarray(spec.m) >= 2
     if not np.any(active):
         raise ConfigError("no block carries momentum: no relative equilibrium in this stratum")
-    ja, ba = j[active], b[active]
-    b_min = float(np.min(ba))
+    b_min = float(np.min(b[active]))
     # solve for t = b_min - beta > 0, so that b - beta = (b - b_min) + t keeps
-    # the digits of t however far b_min is from 0
-    gap = ba - b_min
+    # the digits of t however far b_min is from 0; an inactive block enters
+    # every sum as the term 0 / sqrt(1 + t)
+    gap = np.where(active, b - b_min, 1.0)
     eps = 1e-14 * (1.0 + abs(b_min))
     # a root closer to the pole than eps is not resolved: raise rather than guess
-    if float(np.sum(ja / np.sqrt(gap + eps))) < 1.0:
+    if (np.sum(rows / np.sqrt(gap + eps), axis=1) < 1.0).any():
         raise NumericalFailure("root bracket failed at the singular end")
 
-    def fdf(t):
+    def fdf(t, ja):
         root = np.sqrt(gap + t[:, None])
         return 1.0 - (ja / root).sum(axis=1), 0.5 * (ja / root ** 3).sum(axis=1)
 
     # at t = (sum j)^2 every term is at most j / sum j, so the sum is <= 1
-    t = float(bracketed_roots(fdf, eps, float(np.sum(ja)) ** 2, True, 0.0))
+    t = bracketed_roots(fdf, eps, rows.sum(axis=1) ** 2, True, 0.0, rows)
     beta = b_min - t
-    omega = np.sqrt(np.maximum((b - b_min) + t, 0.0))
-    xi = np.zeros(spec.ell + 1)
-    xi[active] = np.sqrt(ja / omega[active])
-    h = float(np.sum(ja * (omega[active] + ba / omega[active])))
+    omega = np.sqrt(np.maximum((b - b_min) + t[:, None], 0.0))
+    om = np.where(active, omega, 1.0)
+    xi = np.sqrt(rows / om)
+    h = np.sum(rows * (om + b / om), axis=1)
+    if j.ndim == 1:
+        xi, beta, omega, h = xi[0], float(beta[0]), omega[0], float(h[0])
     return RelativeEquilibrium(xi=xi, beta=beta, omega=omega, h=h, j=j)
 
 
 def critical_energy_hessian(spec: SpectrumSpec, j) -> tuple:
     """Gradient 2*omega and rank-1 Hessian of the critical value h(j).
 
-    Hessian entries: (2 / (omega_s omega_t)) / sum_nu j_nu / omega_nu^3,
-    restricted to the active blocks (j > 0).
+    Hessian entries: (2 / (omega_s omega_t)) / sum_nu j_nu / omega_nu^3 on
+    the active blocks (j > 0).  h is not defined off j_sigma = 0 for an
+    inactive block, so its gradient entry, Hessian row and column are 0.
     """
     eq = relative_equilibrium(spec, j)
-    om = eq.omega
-    grad = 2.0 * om
-    denom = float(np.sum(eq.j / om ** 3))
-    hess = 2.0 / np.outer(om, om) / denom
-    return grad, hess
+    # omega = inf on an inactive block zeroes its terms
+    om = np.where(eq.j > 0, eq.omega, np.inf)
+    hess = 2.0 / np.outer(om, om) / float(np.sum(eq.j / om ** 3))
+    return np.where(eq.j > 0, 2.0 * eq.omega, 0.0), hess
 
 
 def equilibrium_phase_point(spec: SpectrumSpec, eq: RelativeEquilibrium) -> PhasePoint:

@@ -104,7 +104,7 @@ def poly_divide(num, den) -> tuple:
 
 # -- one root per bracket ----------------------------------------------------------------
 
-def bracketed_roots(fdf, lo, hi, rising, tol) -> np.ndarray:
+def bracketed_roots(fdf, lo, hi, rising, tol, *data) -> np.ndarray:
     """One root of f in each bracket (lo, hi), all brackets at once.
 
     ``fdf(z)`` returns (f, df) at an array of points; f(z) / df(z) is the
@@ -115,11 +115,13 @@ def bracketed_roots(fdf, lo, hi, rising, tol) -> np.ndarray:
     halved (safeguarded Newton, as in secular-equation solvers).  A root is
     done when the Newton step or the bracket is at most ``tol``, or the
     bracket reaches float resolution; ``tol = 0`` runs to float resolution.
+    Each array in ``data`` holds one row per bracket (leading axes the shape
+    of the brackets); ``fdf(z, *data)`` gets the rows of the live brackets.
     """
-    lo, hi, rising, tol = np.broadcast_arrays(lo, hi, rising, tol)
-    shape = lo.shape
-    lo, hi, tol = (a.astype(float).ravel() for a in (lo, hi, tol))
-    rising = rising.ravel()
+    shape = np.broadcast(lo, hi, rising, tol).shape
+    lo, hi, tol = (np.full(shape, a, float).ravel() for a in (lo, hi, tol))
+    rising = np.full(shape, rising, bool).ravel()
+    data = [np.reshape(d, (lo.size,) + np.shape(d)[len(shape):]) for d in data]
     idx = np.arange(lo.size)
     roots = np.empty(lo.size)
     z = 0.5 * (lo + hi)
@@ -127,7 +129,7 @@ def bracketed_roots(fdf, lo, hi, rising, tol) -> np.ndarray:
         for _ in range(200):
             if idx.size == 0:
                 return roots.reshape(shape)
-            f, df = fdf(z)
+            f, df = fdf(z, *data)
             znew = z - f / df
             right = (f > 0) == rising
             lo = np.where(right, lo, z)
@@ -142,6 +144,7 @@ def bracketed_roots(fdf, lo, hi, rising, tol) -> np.ndarray:
                 keep = ~done
                 z, znew, lo, hi, mid, rising, tol, idx = (
                     a[keep] for a in (z, znew, lo, hi, mid, rising, tol, idx))
+                data = [d[keep] for d in data]
             z = np.where((lo < znew) & (znew < hi), znew, mid)
     raise NumericalFailure("bracketed Newton iteration did not converge")
 

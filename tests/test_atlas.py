@@ -129,6 +129,66 @@ def test_convexity_check_passes(spec22):
     assert report.convex_verdict
 
 
+def convexity_reference(spec, h, n_samples, seed, n_pairs, fd_rel=1e-6):
+    """convexity_check one sample at a time: scalar finite differences through
+    relative_equilibrium, one eigh per Hessian, one rng draw per pair."""
+    rng = np.random.default_rng(seed)
+    b = np.asarray(spec.b)
+    lo, hi = b[:-1] + 0.01 * np.diff(b), b[1:] - 0.01 * np.diff(b)
+    svals = lo + (hi - lo) * rng.random((n_samples, spec.ell))
+    out = {"grad_max_err": 0.0, "hessian_second_eig_ratio": 0.0, "eigvec_max_err": 0.0,
+           "hessian_form_max_diff": 0.0, "samples_j": [], "omegas": [], "p_values": [],
+           "o_values": []}
+    h_c = lambda j: relative_equilibrium(spec, j).h
+    for s in svals:
+        sample = equilibrium_stratum_at_energy(spec, h, s)
+        j, om = sample.j, sample.omega
+        p = p_factor(spec, h, s)
+        o = float(np.prod(om ** 2))
+        for key, v in zip(("samples_j", "omegas", "p_values", "o_values"), (j, om, p, o)):
+            out[key].append(v)
+        for sigma in range(spec.ell + 1):
+            step = fd_rel * max(1.0, j[sigma])
+            jp, jm = j.copy(), j.copy()
+            jp[sigma] += step
+            jm[sigma] -= step
+            grad_fd = (h_c(jp) - h_c(jm)) / (2 * step)
+            out["grad_max_err"] = max(out["grad_max_err"], abs(grad_fd - 2.0 * om[sigma])
+                                      / max(1.0, 2.0 * om[sigma]))
+        hess = 2.0 * (o / p) / np.outer(om, om)
+        hess_eq = 2.0 / np.outer(om, om) / float(np.sum(j / om ** 3))
+        out["hessian_form_max_diff"] = max(out["hessian_form_max_diff"],
+                                           float(np.max(np.abs(hess - hess_eq)))
+                                           / max(1.0, float(np.max(np.abs(hess)))))
+        eig, vec = np.linalg.eigh(hess)
+        out["hessian_second_eig_ratio"] = max(out["hessian_second_eig_ratio"],
+                                              float(np.max(np.abs(eig[:-1]))) / eig[-1])
+        ref = (1.0 / om) / np.linalg.norm(1.0 / om)
+        out["eigvec_max_err"] = max(out["eigvec_max_err"],
+                                    min(np.max(np.abs(vec[:, -1] - ref)),
+                                        np.max(np.abs(vec[:, -1] + ref))))
+    violations, max_slack = 0, -np.inf
+    for _ in range(n_pairs):
+        ia, ib = rng.integers(0, n_samples, size=2)
+        ja, jb = out["samples_j"][ia], out["samples_j"][ib]
+        slack = h_c(0.5 * (ja + jb)) - 0.5 * (h_c(ja) + h_c(jb))
+        max_slack = max(max_slack, slack)
+        violations += slack > 1e-9
+    out.update(samples_s=svals, midpoint_violations=violations, midpoint_max_slack=max_slack)
+    return out
+
+
+@pytest.mark.parametrize("dh, seed", [(1.0, 7), (10.0, 11)])
+def test_convexity_check_matches_per_sample_reference(spec222, dh, seed):
+    h = convexity_threshold(spec222) + dh
+    report = convexity_check(spec222, h, n_samples=16, seed=seed, n_pairs=40)
+    ref = convexity_reference(spec222, h, 16, seed, 40)
+    assert abs(report.eigvec_max_err - ref.pop("eigvec_max_err")) <= 1e-15
+    for key, value in ref.items():
+        assert np.array_equal(getattr(report, key), np.asarray(value)), key
+    assert report.midpoint_pairs == 40 and report.convex_verdict
+
+
 def test_p_factor_identity(spec222):
     # P equals O * sum j / omega^3 on the stratum (two Hessian forms agree)
     sample = equilibrium_stratum_at_energy(spec222, 1.0, (0.5, 1.5))

@@ -195,6 +195,62 @@ def test_relative_equilibrium_far_from_zero():
     assert abs(np.sum(j / eq.omega) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("b, m, j", [
+    ((0.0, 1.0), (2, 2), [[0.5, 0.5], [0.3, 0.8], [1e-3, 40.0]]),
+    ((0.0, 1.0, 2.0), (2, 2, 2), [[0.3, 0.5, 0.2], [1e-4, 0.2, 3.0], [2.0, 2.0, 2.0]]),
+    ((0.0, 1.0, 2.0), (2, 1, 2), [[0.4, 0.0, 0.7], [0.05, 0.0, 1e-3], [9.0, 0.0, 0.1]]),
+    ((1e8, 1e8 + 1.0), (2, 2), [[1e-3, 2e-3], [0.5, 0.5], [3e-2, 1e-4]]),
+])
+def test_relative_equilibrium_stack_equals_rows(b, m, j):
+    spec = validate_spectrum(b, m)
+    j = np.array(j)
+    stack = relative_equilibrium(spec, j)
+    assert stack.beta.shape == stack.h.shape == (j.shape[0],)
+    assert stack.xi.shape == stack.omega.shape == j.shape
+    for k, row in enumerate(j):
+        eq = relative_equilibrium(spec, row)
+        assert type(eq.beta) is float and type(eq.h) is float
+        assert eq.beta == stack.beta[k] and eq.h == stack.h[k]
+        assert np.array_equal(eq.xi, stack.xi[k])
+        assert np.array_equal(eq.omega, stack.omega[k])
+
+
+def test_relative_equilibrium_stack_bad_row_raises_like_scalar(spec212):
+    bad_rows = [(spec212, [0.5, 0.1, 0.5], ConfigError),
+                (spec212, [0.5, 0.0, 0.0], ConfigError),
+                (validate_spectrum((1.0, 2.0), (2, 2)), [1e-7, 1e-7], NumericalFailure)]
+    for spec, bad, error in bad_rows:
+        good = [0.4, 0.0, 0.7] if spec is spec212 else [0.5, 0.5]
+        with pytest.raises(error) as scalar:
+            relative_equilibrium(spec, bad)
+        with pytest.raises(error) as stacked:
+            relative_equilibrium(spec, [good, bad, good])
+        assert str(stacked.value) == str(scalar.value)
+
+
+def test_critical_energy_hessian_inactive_block(spec212):
+    # h(j) is defined only on j_1 = 0 (m_1 = 1): the gradient entry, Hessian
+    # row and column of block 1 are 0, the active block is the FD Hessian
+    j = np.array([0.4, 0.0, 0.7])
+    grad, hess = critical_energy_hessian(spec212, j)
+    eq = relative_equilibrium(spec212, j)
+    act = [0, 2]
+    assert grad[1] == 0.0 and np.all(hess[1] == 0.0) and np.all(hess[:, 1] == 0.0)
+    assert np.allclose(grad[act], 2 * eq.omega[act])
+    step = 1e-4
+    fd = np.empty((2, 2))
+    for ia, a in enumerate(act):
+        for ib, b in enumerate(act):
+            vals = []
+            for da, db in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+                jq = j.copy()
+                jq[a] += da * step
+                jq[b] += db * step
+                vals.append(relative_equilibrium(spec212, jq).h)
+            fd[ia, ib] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * step ** 2)
+    assert np.max(np.abs(fd - hess[np.ix_(act, act)])) < 1e-5
+
+
 def test_critical_energy_hessian(spec22):
     j = np.array([0.5, 0.5])
     grad, hess = critical_energy_hessian(spec22, j)

@@ -165,6 +165,25 @@ def test_bracketed_roots_zero_derivative_falls_back():
         assert root == pytest.approx(0.3, abs=1e-13)
 
 
+def test_bracketed_roots_per_bracket_data():
+    # root c^(1/p) of z^p - c, with c and p per bracket; the brackets finish at
+    # different iterations, so the data must be compacted with them
+    c = np.array([[2.0, 1e-6, 30.0], [0.5, 7.0, 1e3]])
+    p = np.array([[2.0, 3.0, 5.0], [2.0, 4.0, 3.0]])
+    coef = np.stack([c, p], axis=-1)
+    live = []
+
+    def fdf(z, coef):
+        assert coef.shape == (z.size, 2)
+        live.append(z.size)
+        c, p = coef.T
+        return z ** p - c, p * z ** (p - 1)
+    roots = bracketed_roots(fdf, 0.0, np.maximum(1.0, c), True, 0.0, coef)
+    assert roots.shape == c.shape
+    assert roots == pytest.approx(c ** (1.0 / p), rel=4.5e-16)
+    assert len(set(live)) >= 3
+
+
 def test_from_separated_examples(spec22):
     xi2 = from_separated(spec22, [0.5])
     assert np.allclose(xi2, 0.5)
