@@ -50,7 +50,7 @@ def _exact_conv(a, b):
 def a_prime_values(b) -> np.ndarray:
     """A'(b_sigma) = prod_{tau != sigma} (b_sigma - b_tau) for every sigma, in floats."""
     b = np.asarray(b, float)
-    return np.array([np.prod(b[k] - np.delete(b, k)) for k in range(b.size)])
+    return np.prod(np.where(np.eye(b.size, dtype=bool), 1.0, b[:, None] - b), axis=1)
 
 
 def _exact_from_roots(roots):
@@ -173,10 +173,6 @@ class HyperellipticCurve:
     @property
     def ell(self) -> int:
         return self.b.size - 1
-
-    @property
-    def a_coeffs(self) -> np.ndarray:
-        return poly_from_roots(self.b)
 
     def evaluate(self, z):
         return poly_eval(self.r, z)

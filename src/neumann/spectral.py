@@ -2,9 +2,13 @@
 
 For bounded motion with every coupling w_sigma > 0 the degree-(2*ell+1)
 polynomial R has 2*ell+1 real roots: one left of b_0 and one pair inside
-each gap (b_{sigma-1}, b_sigma).  R >= 0 exactly on the paired segments,
-which carry the oscillation of the separated coordinates.  The nontrivial
-actions are
+each gap (b_{sigma-1}, b_sigma).  With c_sigma = w_sigma A'(b_sigma),
+R / A = -(Q(z) + sum c_sigma / (z - b_sigma)), so the roots are the eigenvalues
+of the companion of Q bordered by diag(b) (G. H. Golub, SIAM Rev. 15, 1973;
+Amiraslani, Corless & Lancaster, IMA J. Numer. Anal. 29, 2009), and every
+integrand is a product over them, R = -prod (z - e_j).  R >= 0 exactly on the
+paired segments, which carry the oscillation of the separated coordinates.
+The nontrivial actions are
 
     I_i = (1/4 pi) oint_{gamma_i} zeta / A dz,
 
@@ -32,7 +36,7 @@ from .errors import ConfigError, NumericalFailure
 from .model import SpectrumSpec
 from .reduction import SINGULAR_W_TOL
 from .separation import (HyperellipticCurve, a_prime_values, bracketed_roots,
-                         curve_from_energy, poly_der, poly_divide, poly_eval)
+                         curve_from_energy, poly_der, poly_eval)
 
 #: pairwise root gap (times scale) below which the curve counts as near-critical
 NEAR_CRITICAL_GAP = 1e-8
@@ -49,119 +53,113 @@ def _curve_scale(curve: HyperellipticCurve) -> float:
     return float(np.max(np.abs(curve.b)) + 1.0)
 
 
-def _roots_structured(curve: HyperellipticCurve) -> np.ndarray:
-    """Real roots for the generic stratum (all w > 0): isolate, then one solver.
-
-    Every root gets a bracket with one sign change of R: the spectator root
-    in (b_0 - span, b_0), with span doubled until R > 0 at its left end, and
-    each pair root between neighbouring nodes of a grid on its gap.  A pair
-    the grid does not resolve is split at the interior maximum of R, itself
-    the root of R' between the grid neighbours of the largest node value.
-    ``bracketed_roots`` takes those maxima in one call and every root of R
-    in a second.
-    """
-    b = curve.b
-    ell = curve.ell
-    scale = _curve_scale(curve)
-    tol = 1e-14 * scale
-    dr = poly_der(curve.r)
-
-    # spectator root left of b_0 (R -> +inf as z -> -inf)
-    span = max(1.0, float(b[-1] - b[0]))
-    while float(poly_eval(curve.r, b[0] - span)) <= 0.0:
-        span *= 2.0
-        if span > 1e12 * scale:
-            raise NumericalFailure("no spectator root found left of the spectrum")
-    brackets = [(b[0] - span, b[0], False)]
-
-    split = []  # (gap ends, grid neighbours of the largest node value)
-    for sigma in range(1, ell + 1):
-        a, c = float(b[sigma - 1]), float(b[sigma])
-        # include near-endpoint nodes: R < 0 at the eigenvalues when w > 0,
-        # so pairs hugging an endpoint still produce sign changes
-        tiny = 1e-12 * (c - a)
-        grid = np.concatenate([[a + tiny],
-                               np.linspace(a, c, 128 * max(1, ell))[1:-1],
-                               [c - tiny]])
-        vals = poly_eval(curve.r, grid)
-        changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if changes.size >= 2:
-            brackets += [(grid[k], grid[k + 1], vals[k] < 0) for k in (changes[0], changes[-1])]
-            continue
-        k = int(np.argmax(vals))
-        zl, zr = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-        if poly_eval(dr, zl) <= 0.0 or poly_eval(dr, zr) >= 0.0:
-            raise NumericalFailure(
-                f"branch structure violated in ({a:.6g}, {c:.6g}): no interior maximum"
-            )
-        split.append((a, c, zl, zr))
-
-    roots = []
-    if split:
-        a, c, zl, zr = np.array(split).T
-        d2r = poly_der(dr)
-        zmax = bracketed_roots(lambda z: (poly_eval(dr, z), poly_eval(d2r, z)),
-                               zl, zr, False, tol)
-        for k, rmax in enumerate(poly_eval(curve.r, zmax)):
-            if rmax < -NEAR_CRITICAL_GAP * scale:
-                raise NumericalFailure(
-                    f"complex root pair in ({a[k]:.6g}, {c[k]:.6g}): R_max = {rmax:.3e} < 0 "
-                    "(near-critical or unbounded parameters)"
-                )
-            if rmax <= NEAR_CRITICAL_GAP * scale:
-                roots += [zmax[k], zmax[k]]
-            else:
-                brackets += [(zl[k], zmax[k], True), (zmax[k], zr[k], False)]
-    lo, hi, rising = (np.array(v) for v in zip(*brackets))
-    roots += list(bracketed_roots(lambda z: (poly_eval(curve.r, z), poly_eval(dr, z)),
-                                  lo, hi, rising, tol))
-    return np.sort(np.array(roots))
-
-
-def _roots_with_zero_couplings(curve: HyperellipticCurve, zero_idx) -> np.ndarray:
-    """Roots when some w_sigma = 0: those b_sigma are roots; deflate and fall back."""
-    poly = curve.r.copy()
-    fixed = []
-    for sigma in zero_idx:
-        poly, _ = poly_divide(poly, (1.0, -float(curve.b[sigma])))
-        fixed.append(float(curve.b[sigma]))
-    other = np.roots(poly)
-    scale = _curve_scale(curve)
-    real = other[np.abs(other.imag) < 1e-7 * scale].real
-    return np.sort(np.concatenate([np.array(fixed), real]))
+def _bordered_matrix(q: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """M with det(zI - M) = A(z) (Q(z) + sum c / (z - b)) = -R(z): the companion of Q
+    (coefficients ``q``) with -1 in the b columns of row ell - 1, c in column 0
+    of the b rows and diag(b).  LAPACK's balancing isolates a b row with c = 0,
+    so that b_sigma comes back as an exact eigenvalue."""
+    ell = q.size - 1
+    m = np.diag(np.concatenate([np.zeros(ell), b])) + np.diag(np.arange(2 * ell) < ell - 1, 1)
+    m[ell - 1, :ell] = -q[:0:-1]
+    m[ell - 1, ell:] = -1.0
+    m[ell:, 0] = c
+    return m
 
 
 def branch_points(curve: HyperellipticCurve, w_tol: float = SINGULAR_W_TOL) -> np.ndarray:
     """All real roots of R, sorted ascending; validates count and placement.
 
-    Raises when a real pair is missing (complex roots where the bounded-motion
-    structure requires real ones); warns when two roots nearly coincide.
+    The eigenvalues of ``_bordered_matrix``, with c_sigma = 0 where w_sigma <=
+    ``w_tol`` (b_sigma is then an exact root), polished by ``_polish``.  A pair
+    that M finds complex, or whose midpoint value of R is at most
+    B = NEAR_CRITICAL_GAP max |R(gap ends)|, is judged by the maximum R_max of R:
+    below -B it is complex (raises), up to B a double root at the maximum,
+    above B two roots, one on each side.  Warns when two roots nearly coincide.
     """
-    ell = curve.ell
-    zero_idx = [s for s in range(ell + 1) if curve.w[s] <= w_tol]
-    if zero_idx:
-        roots = _roots_with_zero_couplings(curve, zero_idx)
-    else:
-        roots = _roots_structured(curve)
-    if roots.size != 2 * ell + 1:
-        raise NumericalFailure(
-            f"expected {2 * ell + 1} real branch points, found {roots.size} "
-            f"(roots: {roots}); parameters may not describe bounded motion"
-        )
+    b, ell = curve.b, curve.ell
+    a_prime = a_prime_values(b)
+    q = np.concatenate([[1.0], 2.0 * curve.rho])
+    c = np.where(curve.w > w_tol, curve.w * a_prime, 0.0)
+    ev = np.linalg.eigvals(_bordered_matrix(q, c, b))
+    ev = ev[np.argsort(ev.real, kind="stable")]
+    pair = ev[1:].reshape(ell, 2)
+    complex_pair = (pair[:, 0].imag != 0) & (pair[:, 0] == np.conj(pair[:, 1]))
+    if ev[0].imag != 0 or np.any((pair.imag != 0).any(axis=1) & ~complex_pair):
+        raise NumericalFailure(f"expected {2 * ell + 1} real branch points, found roots {ev}; "
+                               "parameters may not describe bounded motion")
     scale = _curve_scale(curve)
-    if not zero_idx:
-        b = curve.b
-        if roots[0] >= b[0]:
-            raise NumericalFailure("spectator branch point not left of the spectrum")
-        for sigma in range(1, ell + 1):
-            pair = roots[2 * sigma - 1: 2 * sigma + 1]
-            if np.any(pair < b[sigma - 1]) or np.any(pair > b[sigma]):
-                raise NumericalFailure(f"branch pair {sigma} escaped its spectral gap")
-    gaps = np.diff(roots)
-    if gaps.size and float(np.min(gaps)) < NEAR_CRITICAL_GAP * scale:
+    roots = ev.real.copy()
+    mid = 0.5 * (pair[:, 0].real + pair[:, 1].real)
+    r_ends = np.abs(c * a_prime)  # |R(b_sigma)| = w_sigma A'(b_sigma)^2
+    bound = NEAR_CRITICAL_GAP * np.maximum(r_ends[:-1], r_ends[1:])
+    split = np.flatnonzero(complex_pair | (poly_eval(curve.r, mid) <= bound))
+    judged, double = np.zeros((2, roots.size), bool)
+    if split.size:
+        dr = poly_der(curve.r)
+        half = np.where(complex_pair, 2.0 * abs(pair[:, 0].imag), pair[:, 1].real - mid)
+        zmax = bracketed_roots(lambda z: (poly_eval(dr, z), poly_eval(poly_der(dr), z)),
+                               (mid - half)[split], (mid + half)[split], False, 1e-14 * scale)
+        for sigma, z, rmax in zip(split, zmax, poly_eval(curve.r, zmax)):
+            if rmax < -bound[sigma]:
+                raise NumericalFailure(f"complex root pair in gap {sigma + 1}: R_max = {rmax:.3e}"
+                                       " < 0 (near-critical or unbounded parameters)")
+            at = slice(2 * sigma + 1, 2 * sigma + 3)
+            roots[at], judged[at], double[at] = z, True, rmax <= bound[sigma]
+    zero = curve.w <= w_tol
+    live = ~judged & ~np.isin(roots, b[zero])
+    roots = _polish(curve, roots, q, c, live, judged & ~double, scale)
+    if not zero.any() and (roots[0] >= b[0] or np.any(roots[1:] < np.repeat(b[:-1], 2))
+                           or np.any(roots[1:] > np.repeat(b[1:], 2))):
+        raise NumericalFailure(f"branch points {roots} not one left of b_0 and a pair in "
+                               "each spectral gap")
+    if float(np.min(np.diff(roots))) < NEAR_CRITICAL_GAP * scale:
         warnings.warn("nearly coincident branch points: discriminant-locus proximity",
                       NearCriticalWarning)
     return roots
+
+
+def _horner(coeffs, z: float) -> tuple:
+    """p(z) and its rounding scale sum |a_k| |z|^k, by Horner on Python floats."""
+    value = size = 0.0
+    for a in coeffs:
+        value, size = value * z + a, size * abs(z) + abs(a)
+    return value, size
+
+
+def _polish(curve: HyperellipticCurve, roots, q, c, live, forced, scale) -> np.ndarray:
+    """Two Newton steps on each ``live`` root, on g = Q + sum c / (z - b) = -R / A or on R,
+    whichever has the smaller rounding scale over |derivative|: g where the roots
+    spread, R (exactly rounded coefficients) where one root lies far from the rest.
+    A root that leaves its bracket (halfway to its neighbours, never past a pole),
+    or is ``forced``, is solved on R in that bracket by ``bracketed_roots``."""
+    poles = curve.b[c != 0.0]
+    ql, dql, rl, drl = (a.tolist() for a in (q, poly_der(q), curve.r, poly_der(curve.r)))
+    fractions = list(zip(poles.tolist(), c[c != 0.0].tolist()))
+
+    def newton(z):
+        try:
+            (g, g_size), dg = _horner(ql, z), _horner(dql, z)[0]
+            for pole, weight in fractions:
+                t = weight / (z - pole)
+                g, dg, g_size = g + t, dg - t / (z - pole), g_size + abs(t)
+            (rz, r_size), drz = _horner(rl, z), _horner(drl, z)[0]
+            return z - (rz / drz if r_size * abs(dg) < g_size * abs(drz) else g / dg)
+        except ZeroDivisionError:  # on a pole or a flat g: left to the bracket
+            return float("nan")
+
+    out = roots.copy()
+    for k in np.flatnonzero(live):
+        out[k] = newton(newton(float(roots[k])))
+    pad = np.concatenate([[2.0 * roots[0] - roots[1]], roots, [2.0 * roots[-1] - roots[-2]]])
+    walls = np.concatenate([[-np.inf], poles, [np.inf]])
+    k = np.searchsorted(walls, roots)
+    lo = np.maximum(0.5 * (pad[:-2] + roots), walls[k - 1])
+    hi = np.minimum(0.5 * (roots + pad[2:]), walls[k])
+    redo = np.flatnonzero(forced | (live & ~((lo < out) & (out < hi))))
+    if redo.size:  # R > 0 left of all roots and changes sign at each
+        out[redo] = bracketed_roots(lambda z: (poly_eval(curve.r, z), poly_eval(drl, z)),
+                                    lo[redo], hi[redo], redo % 2 == 1, 1e-14 * scale)
+    return out
 
 
 def branch_segments(curve: HyperellipticCurve, roots: np.ndarray | None = None) -> list:
@@ -172,10 +170,11 @@ def branch_segments(curve: HyperellipticCurve, roots: np.ndarray | None = None) 
 
 
 def _cosine_nodes(zlo: float, zhi: float, n: int) -> tuple:
-    """Midpoint nodes z = m - r cos(theta), theta = (k + 1/2) pi / n, and sin(theta)."""
+    """Nodes z = m - r cos(theta), theta = (k + 1/2) pi / n, with z - zlo and zhi - z
+    taken as 2r sin^2(theta/2) and 2r cos^2(theta/2): relatively exact at the ends."""
     m, r = 0.5 * (zlo + zhi), 0.5 * (zhi - zlo)
-    theta = (np.arange(n) + 0.5) * np.pi / n
-    return m - r * np.cos(theta), np.sin(theta)
+    half = (np.arange(n) + 0.5) * np.pi / (2 * n)
+    return m - r * np.cos(2.0 * half), 2.0 * r * np.sin(half) ** 2, 2.0 * r * np.cos(half) ** 2
 
 
 def sqrt_weight_quadrature(f, zlo: float, zhi: float, n: int):
@@ -185,10 +184,8 @@ def sqrt_weight_quadrature(f, zlo: float, zhi: float, n: int):
     convergent for smooth f.  ``f`` may return rows (last axis over the
     nodes); the result then holds one integral per row.
     """
-    r = 0.5 * (zhi - zlo)
-    z, sin_theta = _cosine_nodes(zlo, zhi, n)
-    vals = sin_theta ** 2 * np.asarray(f(z))
-    return r * r * np.pi / n * np.sum(vals, axis=-1)
+    z, to_lo, to_hi = _cosine_nodes(zlo, zhi, n)
+    return np.pi / n * np.sum(to_lo * to_hi * np.asarray(f(z)), axis=-1)
 
 
 def _self_converge(quad, tol: float, max_nodes: int, what: str):
@@ -205,21 +202,23 @@ def _self_converge(quad, tol: float, max_nodes: int, what: str):
 
 
 def _segment(curve: HyperellipticCurve, roots: np.ndarray | None, i: int) -> tuple:
-    """(zlo, zhi, flag, quotient) of the i-th segment, quotient = R / ((z-zlo)(z-zhi))."""
+    """(zlo, zhi, flag, others, at_end) of segment i: R = (z-zlo)(zhi-z) prod (z - others),
+    and at_end[k, sigma] marks end k (zlo, zhi) at b_sigma with w_sigma = 0."""
+    if roots is None:
+        roots = branch_points(curve)
     segments = branch_segments(curve, roots)
     if not 0 <= i < len(segments):
         raise ConfigError(f"segment index {i} out of range for genus {curve.ell}")
     zlo, zhi = segments[i]
     scale = _curve_scale(curve)
     # the cycle doubles only where an end sits at an eigenvalue whose coupling vanishes
-    at_b = np.abs(np.array([zlo, zhi])[:, None] - curve.b[None, :]) < DOUBLING_TOL * scale
-    flag = 2 if bool(np.any(at_b & (curve.w <= SINGULAR_W_TOL))) else 1
+    at_end = ((np.abs(np.array([zlo, zhi])[:, None] - curve.b) < DOUBLING_TOL * scale)
+              & (curve.w <= SINGULAR_W_TOL))
+    flag = 2 if bool(np.any(at_end)) else 1
     inside = (curve.b > zlo + DOUBLING_TOL * scale) & (curve.b < zhi - DOUBLING_TOL * scale)
     if np.any(inside):
         raise NumericalFailure("an eigenvalue lies strictly inside a branch segment")
-    quotient, _ = poly_divide(curve.r, (1.0, -zlo))
-    quotient, _ = poly_divide(quotient, (1.0, -zhi))
-    return zlo, zhi, flag, quotient
+    return zlo, zhi, flag, np.delete(np.asarray(roots, float), [2 * i + 1, 2 * i + 2]), at_end
 
 
 def action_integral(curve: HyperellipticCurve, i: int, tol: float = 1e-11,
@@ -228,20 +227,21 @@ def action_integral(curve: HyperellipticCurve, i: int, tol: float = 1e-11,
 
     I_i = flag * (1/2 pi) int_seg sqrt(R(z)) / |A(z)| dz with flag = 2 exactly
     when a segment endpoint coincides with an eigenvalue whose coupling
-    vanishes (w_sigma <= SINGULAR_W_TOL).  The square-root
-    endpoint behaviour is absorbed by the cosine substitution; node count is
-    doubled until self-convergence below ``tol``.  ``roots`` are the curve's
-    branch points, isolated here when not given.
+    vanishes (w_sigma <= SINGULAR_W_TOL).  Over the weight sqrt((z-zlo)(zhi-z)) the
+    integrand is sqrt(prod (z - others)) / |prod (z - b)|, where a factor z - b_sigma
+    at a segment end is the exact end distance of ``_cosine_nodes``.  Nodes double
+    until self-convergence below ``tol``; ``roots`` are isolated when not given.
     """
-    zlo, zhi, flag, quotient = _segment(curve, roots, i)
+    zlo, zhi, flag, others, at_end = _segment(curve, roots, i)
     if zhi - zlo < NEAR_CRITICAL_GAP * _curve_scale(curve):
         return 0.0, flag
-    a_coeffs = curve.a_coeffs
+    poles, end_pole = curve.b[~at_end.any(axis=0)], at_end.any(axis=1)
 
     def integrand(z):
-        # R(z) = (z - zlo)(z - zhi) * quotient(z); on the segment quotient <= 0
-        q = np.maximum(-poly_eval(quotient, z), 0.0)
-        return np.sqrt(q) / np.abs(poly_eval(a_coeffs, z))
+        # prod (z - others) > 0 on the segment: an even number of the others lie above it
+        ends = np.array(_cosine_nodes(zlo, zhi, z.size)[1:] if flag == 2 else (1.0, 1.0))
+        den = np.prod(ends[end_pole], axis=0) * np.abs(np.prod(z[:, None] - poles, axis=1))
+        return np.sqrt(np.prod(z[:, None] - others, axis=1)) / den
 
     total = _self_converge(lambda n: sqrt_weight_quadrature(integrand, zlo, zhi, n),
                            tol, max_nodes, "action")
@@ -260,27 +260,30 @@ def _action_gradient(curve: HyperellipticCurve, roots: np.ndarray, i: int, w_blo
     """(dI_i/d(rho_1, ..., rho_ell, w_sigma for sigma in w_blocks), flag) on segment i.
 
     In theta, dz / sqrt((z-zlo)(zhi-z)) = dtheta leaves (dR/dp) / (2 sqrt(-q) |A|)
-    with q = R / ((z-zlo)(z-zhi)), so the endpoint factor is never formed at the
-    rounded nodes.  The pole of a w_sigma row at b = b_sigma, which nears the
-    segment as w_sigma -> 0, is split off: int_0^pi dtheta / (z-b) is
-    sign(m-b) pi / sqrt((zlo-b)(zhi-b)), and the rest, (1/sqrt(-q) - 1/sqrt(-q(b))) / (z-b),
-    is rewritten through D = (q - q(b)) / (z-b) so that nothing cancels.
+    with -q = prod (z - others) = R / ((z-zlo)(zhi-z)), so the endpoint factor is
+    never formed at the rounded nodes.  The pole of a w_sigma row at b = b_sigma,
+    which nears the segment as w_sigma -> 0, is split off: int_0^pi dtheta / (z-b)
+    is sign(m-b) pi / sqrt((zlo-b)(zhi-b)), and the rest,
+    (1/sqrt(-q) - 1/sqrt(-q(b))) / (z-b), is rewritten through the telescoping
+    D = (q - q(b)) / (z-b) = -sum_k prod_{j<k} (z - e_j) prod_{j>k} (b - e_j)
+    over the others e, so that nothing cancels.
     """
-    zlo, zhi, flag, quotient = _segment(curve, roots, i)
+    zlo, zhi, flag, others, _ = _segment(curve, roots, i)
     m = 0.5 * (zlo + zhi)
     sign_a = float(np.prod(np.sign(m - curve.b)))  # sign of A on the segment
     b = curve.b[list(w_blocks)]
     c = -0.5 * a_prime_values(curve.b)[list(w_blocks), None]
-    root_qb = np.sqrt(-poly_eval(quotient, b))[:, None]
-    d_coeffs = [poly_divide(quotient, (1.0, -bs))[0] for bs in b]
+    root_qb = np.sqrt(np.prod(b[:, None] - others, axis=1))[:, None]
     pole = np.sign(m - b) * np.pi / np.sqrt((zlo - b) * (zhi - b))
+    after = np.cumprod(np.hstack([np.ones((b.size, 1)), b[:, None] - others[:0:-1]]),
+                       axis=1)[:, ::-1]  # prod_{j>k} (b - e_j)
 
     def quad(n):
-        z, _ = _cosine_nodes(zlo, zhi, n)
-        root_q = np.sqrt(-poly_eval(quotient, z))
-        smooth = np.array([poly_eval(d, z) for d in d_coeffs]).reshape(b.size, n)
+        z = _cosine_nodes(zlo, zhi, n)[0]
+        root_q = np.sqrt(np.prod(z[:, None] - others, axis=1))
+        before = np.cumprod(np.hstack([np.ones((n, 1)), z[:, None] - others[:-1]]), axis=1)
         rows = np.vstack([-np.vander(z, curve.ell).T / root_q,
-                          c * smooth / (root_q * root_qb * (root_q + root_qb))])
+                          -c * (after @ before.T) / (root_q * root_qb * (root_q + root_qb))])
         return np.pi / n * np.sum(rows, axis=-1)
 
     total = _self_converge(quad, tol, max_nodes, "action-derivative")

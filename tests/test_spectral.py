@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ from neumann import (build_polynomials, curve_from_energy, measure_period,
                      momentum_map, period_lattice, separation_constants,
                      to_separated, trivial_action_residue, validate_spectrum)
 from neumann.errors import ConfigError, NumericalFailure
-from neumann.separation import energy_shift
-from neumann.spectral import (NearCriticalWarning, action_integral,
+from neumann.separation import a_prime_values, energy_shift
+from neumann.spectral import (NearCriticalWarning, _bordered_matrix, action_integral,
                               action_integrals, branch_points, branch_segments,
                               sqrt_weight_quadrature)
 
@@ -289,3 +292,116 @@ def test_actions_require_bounded_parameters(spec22):
     curve = reference_curve(spec22)
     with pytest.raises(ConfigError):
         action_integral(curve, 5)
+
+
+# -- the eigenvalue root path and the product-form integrands ----------------------------
+
+def _refined(curve, z):
+    """z moved by Newton steps on the exact rational R until it stops moving."""
+    coeffs = list(curve.r_exact)
+    deriv = [a * (len(coeffs) - 1 - k) for k, a in enumerate(coeffs[:-1])]
+
+    def exact(cs, x):
+        acc = Fraction(0)
+        for a in cs:
+            acc = acc * x + a
+        return acc
+
+    for _ in range(10):
+        step = float(exact(coeffs, Fraction(z)) / exact(deriv, Fraction(z)))
+        if z - step == z:
+            break
+        z -= step
+    return z
+
+
+def _regular_curves(spec, seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rc = random_regular_reduced(spec, rng)
+        st = to_separated(spec, rc.w, rc.xi, rc.eta)
+        yield build_polynomials(spec, rc.w, separation_constants(spec, rc.w, st.u, st.p))
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+@pytest.mark.parametrize("zero_block", [None, 1])
+def test_bordered_matrix_has_characteristic_polynomial_minus_r(ell, zero_block):
+    rng = np.random.default_rng(100 + ell)
+    b = np.cumsum(rng.uniform(0.3, 1.5, ell + 1)) - 1.0
+    w = rng.uniform(0.01, 0.5, ell + 1)
+    if zero_block is not None:
+        w[zero_block] = 0.0
+    curve = build_polynomials(validate_spectrum(tuple(b), (2,) * (ell + 1)), w,
+                              rng.normal(size=ell))
+    m = _bordered_matrix(np.concatenate([[1.0], 2.0 * curve.rho]), w * a_prime_values(b), b)
+    assert m.shape == (2 * ell + 1, 2 * ell + 1)
+    for z in np.concatenate([b + 0.37, [b[0] - 2.0, b[-1] + 1.5]]):
+        size = np.sum(np.abs(curve.r) * abs(z) ** np.arange(curve.r.size)[::-1])
+        det = np.linalg.det(z * np.eye(m.shape[0]) - m)
+        assert abs(det + curve.evaluate_exact(z)) < 1e-12 * size
+    if zero_block is not None:
+        assert b[zero_block] in np.linalg.eigvals(m)
+
+
+@pytest.mark.parametrize("b", [tuple(range(7)), (30.0, 31.0, 32.0)],
+                         ids=["unit_l6", "spec222_plus_30"])
+def test_branch_points_match_exactly_refined_roots(b):
+    spec = validate_spectrum(tuple(map(float, b)), (2,) * len(b))
+    scale = max(abs(v) for v in b) + 1.0
+    for curve in _regular_curves(spec, 5, 10):
+        roots = branch_points(curve)
+        exact = np.array([_refined(curve, z) for z in roots])
+        assert np.max(np.abs(roots - exact)) < 1e-12 * scale
+
+
+def test_branch_points_resolve_clustered_pairs():
+    # pairs in the gap (1, 1.001) are close in absolute terms but far from double
+    spec = validate_spectrum((0.0, 1.0, 1.001, 2.0, 3.0), (2,) * 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NearCriticalWarning)
+        for curve in _regular_curves(spec, 14, 200):
+            roots = branch_points(curve)
+            assert np.all(np.diff(roots) > 0)
+            assert np.all(roots[1::2] > curve.b[:-1]) and np.all(roots[2::2] < curve.b[1:])
+
+
+def test_branch_points_small_coupling_exact(spec222):
+    # the state of test_period_lattice_small_coupling: b_2 closes onto a root as w_2 -> 0
+    xi = np.array([0.5, 0.5, np.sqrt(0.5)])
+    eta = np.array([0.3, -0.2, 0.0])
+    eta -= xi * (xi @ eta)
+    w = np.array([0.05, 0.05, 0.0])
+    st = to_separated(spec222, w, xi, eta)
+    rho = separation_constants(spec222, w, st.u, st.p)
+    h = float(rho[0]) + energy_shift(spec222)
+    for w2 in (1e-4, 1e-6, 1e-8, 1e-10, 2e-12):
+        w[2] = w2
+        curve = curve_from_energy(spec222, w, h, (rho[1],))
+        roots = branch_points(curve)
+        assert np.max(np.abs(roots - [_refined(curve, z) for z in roots])) <= 1e-14
+
+
+def test_flag_two_actions_self_converge_tightly(spec212):
+    # a segment ending at b_1 (w_1 = 0) cancels its factor z - b_1 exactly
+    rng = np.random.default_rng(3)
+    flags = []
+    for _ in range(12):
+        rc = random_regular_reduced(spec212, rng)
+        w = np.array([rc.w[0], 0.0, rc.w[2]])
+        st = to_separated(spec212, w, rc.xi, rc.eta)
+        curve = build_polynomials(spec212, w, separation_constants(spec212, w, st.u, st.p))
+        assert 1.0 in branch_points(curve)  # b_1 exactly
+        flags.extend(action_integrals(curve, tol=1e-14)[1])
+    assert 2 in flags
+
+
+@pytest.mark.parametrize("b", [(0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0)],
+                         ids=["spec222", "spec2222"])
+def test_actions_do_not_amplify_root_rounding(b):
+    spec = validate_spectrum(b, (2,) * len(b))
+    for curve in _regular_curves(spec, 7, 100):
+        roots = branch_points(curve)
+        exact = np.array([_refined(curve, z) for z in roots])
+        for i in range(spec.ell):
+            assert abs(action_integral(curve, i, roots=roots)[0]
+                       - action_integral(curve, i, roots=exact)[0]) <= 1e-13
