@@ -23,7 +23,7 @@ from .dynamics import relative_equilibrium
 from .errors import ConfigError, NumericalFailure
 from .model import SpectrumSpec
 from .separation import (HyperellipticCurve, a_prime_values, build_polynomials,
-                         poly_der, poly_divide, poly_eval, poly_from_roots, qtilde_coeffs)
+                         poly_der, poly_eval, poly_from_roots, qtilde_coeffs)
 
 #: two roots closer than this (times scale) count as a double root
 DOUBLE_ROOT_GAP = 1e-6
@@ -177,9 +177,9 @@ def _boundary_j(b: np.ndarray, s, r) -> tuple:
 def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     """Relative equilibrium with frozen coordinates s_k and spectator root r.
 
-    j_sigma = sqrt(b_sigma - r) prod_k (b_sigma - s_k) / A'(b_sigma) and the
-    full constants rho follow from R = -(z - r) prod (z - s_k)^2 by exact
-    division; r coincides with the equilibrium multiplier beta.
+    j_sigma = sqrt(b_sigma - r) prod_k (b_sigma - s_k) / A'(b_sigma), r = beta; rho is the
+    float quotient of P = -R = (z - r) prod (z - s_k)^2 by A in powers of z - mean(b) (raw
+    monomials lose a wide spectrum's digits), its remainder -Qt checked at the eigenvalues.
     """
     s = np.atleast_1d(np.asarray(s, float))
     b = np.asarray(spec.b)
@@ -190,17 +190,18 @@ def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     if np.any(b - r < 0.0):
         raise ConfigError("spectator root r must satisfy r <= b_sigma")
     j, omega = _boundary_j(b, s, r)
-
-    # constants from exact polynomial division: Q = (Qt - R_target) / A
-    r_target = -poly_from_roots(np.concatenate([s, s, [r]]))
-    num = qtilde_coeffs(spec, j ** 2)
-    n = max(num.size, r_target.size)
-    diff = np.zeros(n)
-    diff[n - num.size:] += num
-    diff[n - r_target.size:] -= r_target
-    q, rem = poly_divide(diff, poly_from_roots(b))
-    if np.max(np.abs(rem)) > 1e-8 * max(1.0, float(np.max(np.abs(diff)))):
-        raise NumericalFailure("stratum construction inconsistent: division remainder")
+    # Laurent series of P / A = prod (z - s_k) prod (1 + d_sigma / (z - b_sigma)), d = b - (r, s)
+    bbar, ell = float(np.mean(b)), spec.ell
+    laurent = np.r_[1.0, np.zeros(ell)]
+    for d_sigma, x_sigma in zip(b - np.r_[r, s], b - bbar):
+        laurent = np.convolve(laurent, np.r_[1.0, d_sigma * x_sigma ** np.arange(ell)])[:ell + 1]
+    q = np.convolve(np.poly(s - bbar), laurent)[:ell + 1]
+    for k in range(1, ell + 1):  # Taylor shift to powers of z
+        q[1:k + 1] -= bbar * q[:k]
+    qt = qtilde_coeffs(spec, j ** 2)
+    mismatch = (b - r) * _gap_products(b, s) ** 2 + poly_eval(qt, b)  # P(b) + Qt(b)
+    if np.max(np.abs(mismatch)) > 1e-12 * np.max(poly_eval(np.abs(qt), np.abs(b))):
+        raise NumericalFailure("stratum construction inconsistent: remainder at the eigenvalues")
     rho = q[1:] / 2.0
     h_boundary = float(-2.0 * np.sum(s) - r)
     h_ec = float(np.sum(j * (omega + b / omega)))
@@ -210,7 +211,6 @@ def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
 
 def equilibrium_stratum_at_energy(spec: SpectrumSpec, h: float, s) -> StratumSample:
     """Stratum sample on the fixed-energy boundary (h in the boundary convention)."""
-    s = np.atleast_1d(np.asarray(s, float))
     r = -h - 2.0 * float(np.sum(s))
     return equilibrium_stratum(spec, s, r)
 

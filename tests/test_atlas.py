@@ -1,15 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from neumann import (build_polynomials, convexity_check, convexity_threshold,
+from neumann import (atlas, build_polynomials, convexity_check, convexity_threshold,
                      double_root_check, equilibrium_stratum,
                      equilibrium_stratum_at_energy, locus_l2, polyhedron_limit,
                      relative_equilibrium, resolve_locus_exponent,
-                     separation_constants, to_separated)
+                     separation_constants, to_separated, validate_spectrum)
 from neumann.atlas import (boundary_h_from_ec, ec_from_boundary_h,
                            locus_l2_closed_form, locus_l2_exact,
                            locus_l2_zero_lines, p_factor)
-from neumann.errors import ConfigError
+from neumann.errors import ConfigError, NumericalFailure
 
 from conftest import random_regular_reduced
 
@@ -96,6 +98,61 @@ def test_equilibrium_stratum_rejects_bad_r(spec222):
         equilibrium_stratum(spec222, (0.4, 1.7), 0.5)  # r > b_0
     with pytest.raises(ConfigError):
         equilibrium_stratum(spec222, (1.4, 0.7), -0.5)  # not interlacing
+
+
+def _exact_stratum_rho(b, s, r):
+    """rho from the rational long division of (z - r) prod (z - s_k)^2 by A(z)."""
+    def from_roots(roots):
+        out = [Fraction(1)]
+        for root in map(Fraction, roots):
+            out = [hi - root * lo for hi, lo in zip(out + [0], [0] + out)]
+        return out
+    num, den = from_roots([*s, *s, r]), from_roots(b)
+    q = []
+    for k in range(len(num) - len(den) + 1):
+        q.append(num[k])  # den is monic
+        for i, d in enumerate(den):
+            num[k + i] -= q[-1] * d
+    return np.array([float(c / 2) for c in q[1:]])
+
+
+STRATUM_SPECTRA = {
+    "spec22": (0.0, 1.0),
+    "spec222": (0.0, 1.0, 2.0),
+    "spec2222": (0.0, 1.0, 2.0, 3.0),
+    "unit_l6": tuple(float(k) for k in range(7)),
+    "spec222_plus_30": (30.0, 31.0, 32.0),
+    "unit_l5_and_100": (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 100.0),
+    "decades": (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0),
+}
+
+
+def _stratum_points(b, seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield (np.array([rng.uniform(b[k], b[k + 1]) for k in range(len(b) - 1)]),
+               b[0] - rng.uniform(0.1, 3.0))
+
+
+# at b + 1e6 the remainder check must not fire on the rounding of Qt's raw monomials
+@pytest.mark.parametrize("b", [*STRATUM_SPECTRA.values(), (1e6, 1e6 + 1.0, 1e6 + 2.0)],
+                         ids=[*STRATUM_SPECTRA, "spec222_plus_1e6"])
+def test_equilibrium_stratum_rho_matches_exact_quotient(b):
+    spec = validate_spectrum(b, (2,) * len(b))
+    for s, r in _stratum_points(b, 11, 60):
+        exact = _exact_stratum_rho(b, s, r)
+        rho = equilibrium_stratum(spec, s, r).rho
+        assert np.max(np.abs(rho - exact)) <= 1e-13 * np.max(np.abs(exact)), (s, r)
+
+
+@pytest.mark.parametrize("b", STRATUM_SPECTRA.values(), ids=list(STRATUM_SPECTRA))
+def test_equilibrium_stratum_remainder_check_fires(b, monkeypatch):
+    spec = validate_spectrum(b, (2,) * len(b))
+    s, r = next(_stratum_points(b, 11, 1))
+    qtilde = atlas.qtilde_coeffs
+    monkeypatch.setattr(atlas, "qtilde_coeffs", lambda spec, w: qtilde(spec, w) * (1 + 1e-6))
+    with pytest.raises(NumericalFailure, match="remainder"):
+        equilibrium_stratum(spec, s, r)
 
 
 def test_energy_conventions_roundtrip(spec222):

@@ -395,6 +395,22 @@ def test_flag_two_actions_self_converge_tightly(spec212):
     assert 2 in flags
 
 
+@pytest.mark.xfail(strict=True, raises=NumericalFailure,
+                   reason="a branch point within O(w_1) of the pole at b_1 makes the action "
+                          "integrand peak like 1/|z - b_1| and it does not self-converge; "
+                          "ROADMAP item 1 splits that pole off the action integrand")
+def test_actions_self_converge_at_small_coupling(spec222):
+    # the period lattice already splits this pole off (test_period_lattice_small_coupling)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        rc = random_regular_reduced(spec222, rng)
+        w = np.array(rc.w, float)
+        w[1] = 1e-8
+        st = to_separated(spec222, w, rc.xi, rc.eta)
+        curve = build_polynomials(spec222, w, separation_constants(spec222, w, st.u, st.p))
+        action_integrals(curve, tol=1e-11)
+
+
 @pytest.mark.parametrize("b", [(0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0)],
                          ids=["spec222", "spec2222"])
 def test_actions_do_not_amplify_root_rounding(b):
