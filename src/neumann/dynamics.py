@@ -5,19 +5,20 @@ The integrator is the projected RK4 step of ``model``: a classical
 tangent).  The projection is what holds C1 = 1 and C2 = 0: off the manifold
 the field gives d/dt C2 = (C1 - 1)(<x, grad V> - |y|^2), so errors in the
 constraints would otherwise grow.  The same step drives the reduced
-Rosochatius flow and the period measurement.  An adaptive mode estimates
-the local error by step doubling.
+Rosochatius flow and the period measurement, whose section crossings
+``bracketed_roots`` solves.  An adaptive mode estimates its error by step doubling.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure, OffManifoldError
-from .model import (PhasePoint, SpectrumSpec, check_on_manifold, integrate_projected,
-                    rk4_projected_step)
+from .errors import BlowUpDetected, ConfigError, NumericalFailure, OffManifoldError
+from .model import (PhasePoint, SpectrumSpec, check_on_manifold, constrained_field,
+                    integrate_projected, rk4_projected_step)
 from .poisson import _block_casimirs, _l_matrix, _uhlenbeck
 from .reduction import amended_gradient, reduced_vector_field
 from .separation import bracketed_roots
@@ -254,43 +255,33 @@ def equilibrium_phase_point(spec: SpectrumSpec, eq: RelativeEquilibrium) -> Phas
 
 # -- period measurement ----------------------------------------------------------------
 
-def _refine_crossing(gradient, k, t_lo, t_hi, xi_lo, eta_lo, tol=1e-12):
-    """Bisect the time in (t_lo, t_hi] where eta[k] crosses zero.
-
-    Each trial state is one projected step from the left state, which moves
-    forward with the bracket.
-    """
-    s_lo = eta_lo[k]
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        xi_mid, eta_mid = rk4_projected_step(gradient, xi_lo, eta_lo, t_mid - t_lo)
-        s_mid = eta_mid[k]
-        if s_lo * s_mid <= 0.0 and s_mid != s_lo:
-            t_hi = t_mid
-        else:
-            t_lo, xi_lo, eta_lo, s_lo = t_mid, xi_mid, eta_mid, s_mid
-        if t_hi - t_lo < tol:
-            break
-    return 0.5 * (t_lo + t_hi)
-
-
 def measure_period(spec: SpectrumSpec, w, xi0, eta0, section_index: int = 0,
                    t_max: float = 200.0, dt: float = 1e-3) -> float:
     """Return time of the reduced oscillation through a Poincare section.
 
     The section is the upward zero crossing of eta[section_index]; the period
-    is the time between two consecutive same-direction crossings, refined by
-    bisection to 1e-12 in time.
+    is the time between two consecutive same-direction crossings.  In a step
+    that crosses, ``bracketed_roots`` solves to 1e-12 for the tau in (0, dt]
+    at which a projected step of length tau lands on the section (Newton
+    slope: the field's d eta_k/dt).  A non-finite state raises BlowUpDetected.
     """
     gradient = amended_gradient(spec, w)
+    k = section_index
+
+    def fdf(tau, xi, eta):
+        x, y = rk4_projected_step(gradient, xi, eta, tau[:, None])
+        return y[:, k], constrained_field(gradient(x), x, y)[1][:, k]
+
     xi = np.asarray(xi0, float)
     eta = np.asarray(eta0, float)
     t = 0.0
     crossings = []
     while t < t_max and len(crossings) < 2:
         xi_new, eta_new = rk4_projected_step(gradient, xi, eta, dt)
-        if eta[section_index] < 0.0 <= eta_new[section_index]:
-            crossings.append(_refine_crossing(gradient, section_index, t, t + dt, xi, eta))
+        if not math.isfinite(eta_new[k]):
+            raise BlowUpDetected(t + dt)
+        if eta[k] < 0.0 <= eta_new[k]:
+            crossings.append(t + float(bracketed_roots(fdf, 0.0, dt, True, 1e-12, xi, eta)))
         xi, eta, t = xi_new, eta_new, t + dt
     if len(crossings) < 2:
         raise NumericalFailure(f"no section return within t_max={t_max}")

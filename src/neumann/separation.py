@@ -91,17 +91,6 @@ def poly_eval_exact(a, z: float) -> float:
     return float(acc)
 
 
-def poly_divide(num, den) -> tuple:
-    """Long division num / den in floats: returns (quotient, remainder coefficients)."""
-    num = np.asarray(num, float).copy()
-    den = np.asarray(den, float)
-    q = np.zeros(num.size - den.size + 1)
-    for k in range(q.size):
-        q[k] = num[k] / den[0]
-        num[k: k + den.size] -= q[k] * den
-    return q, num[q.size:]
-
-
 # -- one root per bracket ----------------------------------------------------------------
 
 def bracketed_roots(fdf, lo, hi, rising, tol, *data) -> np.ndarray:

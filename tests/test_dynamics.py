@@ -7,7 +7,7 @@ from neumann import (PhasePoint, drift_report, hamiltonian, integrate,
                      integrate_batch, measure_period, relative_equilibrium)
 from neumann.dynamics import (conserved_series, critical_energy_hessian,
                               equilibrium_phase_point, linearized_frequency)
-from neumann.errors import ConfigError, NumericalFailure, OffManifoldError
+from neumann.errors import BlowUpDetected, ConfigError, NumericalFailure, OffManifoldError
 from neumann.model import random_phase_point, validate_spectrum
 from neumann.poisson import integrals_f, momentum_map
 from neumann.reduction import amended_potential_gradient, regular_coordinates
@@ -307,6 +307,24 @@ def test_measure_period_harmonic_limit(spec22):
     xi0 /= np.linalg.norm(xi0)
     period = measure_period(spec22, w, xi0, np.zeros(2), dt=5e-4)
     assert period == pytest.approx(2 * np.pi / omega_lin, rel=1e-3)
+
+
+def test_measure_period_fails_fast_on_blow_up(spec22):
+    # a negative coupling drives xi_0 through 0: the state is NaN from t = 0.956 on
+    xi0 = (np.cos(0.3), np.sin(0.3))
+    with pytest.raises(NumericalFailure) as exc:
+        measure_period(spec22, (-0.05, 0.25), xi0, np.zeros(2))
+    assert "no section return" not in str(exc.value)
+    # on section 1 no crossing comes first, so the non-finite state itself is caught
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpDetected) as exc:
+        measure_period(spec22, (-0.05, 0.25), xi0, np.zeros(2), section_index=1)
+    assert exc.value.time == pytest.approx(0.956)
+
+
+def test_measure_period_no_return_within_t_max(spec22):
+    xi0 = (np.cos(0.8), np.sin(0.8))
+    with pytest.raises(NumericalFailure, match=r"no section return within t_max=1\.0"):
+        measure_period(spec22, (0.25, 0.25), xi0, np.zeros(2), t_max=1.0)
 
 
 def test_conserved_series_contains_all_columns(spec212, rng):
