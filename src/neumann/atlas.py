@@ -22,8 +22,8 @@ import numpy as np
 from .dynamics import relative_equilibrium
 from .errors import ConfigError, NumericalFailure
 from .model import SpectrumSpec
-from .separation import (HyperellipticCurve, a_prime_values, build_polynomials,
-                         poly_der, poly_eval, poly_from_roots, qtilde_coeffs)
+from .separation import (HyperellipticCurve, a_prime_values, build_polynomials, gap_products,
+                         poly_der, poly_eval, poly_from_roots, qtilde_coeffs, spectrum_scale)
 
 #: two roots closer than this (times scale) count as a double root
 DOUBLE_ROOT_GAP = 1e-6
@@ -53,7 +53,7 @@ def double_root_check(curve: HyperellipticCurve, location: float,
     close real or complex-conjugate pair.
     """
     roots = np.roots(curve.r)
-    scale = float(np.max(np.abs(curve.b)) + 1.0)
+    scale = spectrum_scale(curve.b)
     order = np.argsort(np.abs(roots - location))
     pair = roots[order[:2]]
     gap = float(np.abs(pair[0] - pair[1]))
@@ -161,17 +161,11 @@ class StratumSample:
         return self.j ** 2
 
 
-def _gap_products(b: np.ndarray, s) -> np.ndarray:
-    """prod_k (b_sigma - s_k) for every sigma (last axis), for one s or a stack (..., ell)."""
-    s = np.atleast_1d(np.asarray(s, float))
-    return np.prod(b[:, None] - s[..., None, :], axis=-1)
-
-
 def _boundary_j(b: np.ndarray, s, r) -> tuple:
     """(j, omega) on the corank-ell stratum: omega = sqrt(b - r) and
     j = omega prod_k (b - s_k) / A'(b), for one (s, r) or stacks (..., ell), (...)."""
     omega = np.sqrt(b - np.asarray(r, float)[..., None])
-    return omega * _gap_products(b, s) / a_prime_values(b), omega
+    return omega * gap_products(b, s) / a_prime_values(b), omega
 
 
 def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
@@ -199,7 +193,7 @@ def equilibrium_stratum(spec: SpectrumSpec, s, r: float) -> StratumSample:
     for k in range(1, ell + 1):  # Taylor shift to powers of z
         q[1:k + 1] -= bbar * q[:k]
     qt = qtilde_coeffs(spec, j ** 2)
-    mismatch = (b - r) * _gap_products(b, s) ** 2 + poly_eval(qt, b)  # P(b) + Qt(b)
+    mismatch = (b - r) * gap_products(b, s) ** 2 + poly_eval(qt, b)  # P(b) + Qt(b)
     if np.max(np.abs(mismatch)) > 1e-12 * np.max(poly_eval(np.abs(qt), np.abs(b))):
         raise NumericalFailure("stratum construction inconsistent: remainder at the eigenvalues")
     rho = q[1:] / 2.0
@@ -330,8 +324,7 @@ class PolyhedronReport:
 
 def polyhedron_model(spec: SpectrumSpec, s) -> np.ndarray:
     """Limit boundary j_sigma = prod_k (b_sigma - s_k) / A'(b_sigma) (omega -> 1)."""
-    b = np.asarray(spec.b)
-    return _gap_products(b, s) / a_prime_values(b)
+    return gap_products(spec.b, s) / a_prime_values(spec.b)
 
 
 def polyhedron_limit(spec: SpectrumSpec, h_values, n_samples: int = 101) -> PolyhedronReport:

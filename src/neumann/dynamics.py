@@ -263,9 +263,12 @@ def measure_period(spec: SpectrumSpec, w, xi0, eta0, section_index: int = 0,
     is the time between two consecutive same-direction crossings.  In a step
     that crosses, ``bracketed_roots`` solves to 1e-12 for the tau in (0, dt]
     at which a projected step of length tau lands on the section (Newton
-    slope: the field's d eta_k/dt).  A non-finite state raises BlowUpDetected.
+    slope: the field's d eta_k/dt).  A non-finite state raises BlowUpDetected,
+    and so does a crossing step in which some xi_sigma with w_sigma != 0 changes
+    sign: such a step jumped through the collision xi_sigma = 0.
     """
     gradient = amended_gradient(spec, w)
+    coupled = np.asarray(w, float) != 0.0
     k = section_index
 
     def fdf(tau, xi, eta):
@@ -281,6 +284,8 @@ def measure_period(spec: SpectrumSpec, w, xi0, eta0, section_index: int = 0,
         if not math.isfinite(eta_new[k]):
             raise BlowUpDetected(t + dt)
         if eta[k] < 0.0 <= eta_new[k]:
+            if np.any(coupled & (np.sign(xi_new) != np.sign(xi))):
+                raise BlowUpDetected(t + dt)
             crossings.append(t + float(bracketed_roots(fdf, 0.0, dt, True, 1e-12, xi, eta)))
         xi, eta, t = xi_new, eta_new, t + dt
     if len(crossings) < 2:

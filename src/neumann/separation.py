@@ -48,9 +48,22 @@ def _exact_conv(a, b):
 
 
 def a_prime_values(b) -> np.ndarray:
-    """A'(b_sigma) = prod_{tau != sigma} (b_sigma - b_tau) for every sigma, in floats."""
+    """A'(b_sigma) = prod_{tau != sigma} (b_sigma - b_tau) for every sigma, in floats;
+    on the separated coordinates, U'(u_i)."""
     b = np.asarray(b, float)
     return np.prod(np.where(np.eye(b.size, dtype=bool), 1.0, b[:, None] - b), axis=1)
+
+
+def gap_products(b, u) -> np.ndarray:
+    """U(b_sigma) = prod_k (b_sigma - u_k) for every sigma (last axis), for one u or a
+    stack (..., ell)."""
+    u = np.atleast_1d(np.asarray(u, float))
+    return np.prod(np.asarray(b, float)[:, None] - u[..., None, :], axis=-1)
+
+
+def spectrum_scale(b) -> float:
+    """max |b_sigma| + 1: the length that chart and curve tolerances are relative to."""
+    return float(np.max(np.abs(b)) + 1.0)
 
 
 def _exact_from_roots(roots):
@@ -101,7 +114,9 @@ def bracketed_roots(fdf, lo, hi, rising, tol, *data) -> np.ndarray:
     (from - to + where ``rising``), keeps the bracket.  f is never evaluated
     at a bracket end, so the ends may be poles.  A Newton step is taken
     only strictly inside the current bracket, otherwise the bracket is
-    halved (safeguarded Newton, as in secular-equation solvers).  A root is
+    halved (safeguarded Newton, as in secular-equation solvers); after 50
+    iterations the live brackets are only halved, so a poor slope cannot
+    stall them.  A root is
     done when the Newton step or the bracket is at most ``tol``, or the
     bracket reaches float resolution; ``tol = 0`` runs to float resolution.
     Each array in ``data`` holds one row per bracket (leading axes the shape
@@ -115,7 +130,7 @@ def bracketed_roots(fdf, lo, hi, rising, tol, *data) -> np.ndarray:
     roots = np.empty(lo.size)
     z = 0.5 * (lo + hi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(200):
+        for it in range(200):
             if idx.size == 0:
                 return roots.reshape(shape)
             f, df = fdf(z, *data)
@@ -134,7 +149,7 @@ def bracketed_roots(fdf, lo, hi, rising, tol, *data) -> np.ndarray:
                 z, znew, lo, hi, mid, rising, tol, idx = (
                     a[keep] for a in (z, znew, lo, hi, mid, rising, tol, idx))
                 data = [d[keep] for d in data]
-            z = np.where((lo < znew) & (znew < hi), znew, mid)
+            z = np.where((lo < znew) & (znew < hi), znew, mid) if it < 50 else mid
     raise NumericalFailure("bracketed Newton iteration did not converge")
 
 
@@ -275,8 +290,7 @@ def to_separated(spec: SpectrumSpec, w, xi, eta) -> SeparatedState:
         return f, f * inv.sum(axis=1) - (inv * inv) @ xi2
 
     u = bracketed_roots(fdf, b[:-1], b[1:], False, 1e-15 * np.diff(b))
-    scale = float(np.max(np.abs(b)) + 1.0)
-    for i in np.flatnonzero(np.minimum(u - b[:-1], b[1:] - u) < CHART_TOL * scale):
+    for i in np.flatnonzero(np.minimum(u - b[:-1], b[1:] - u) < CHART_TOL * spectrum_scale(b)):
         warnings.warn(
             f"u_{i + 1} within {CHART_TOL:g}*scale of an eigenvalue: chart degenerate",
             NearSingularChartWarning,
@@ -300,23 +314,24 @@ def check_interlacing(spec: SpectrumSpec, u) -> None:
 def from_separated(spec: SpectrumSpec, u) -> np.ndarray:
     """xi_sigma^2 = U(b_sigma) / A'(b_sigma); the values sum to 1 automatically."""
     check_interlacing(spec, u)
-    u = np.atleast_1d(np.asarray(u, float))
-    b = np.asarray(spec.b)
-    a_prime = a_prime_values(b)
-    xi2 = np.empty(b.size)
-    for sigma in range(b.size):
-        xi2[sigma] = float(np.prod(b[sigma] - u)) / a_prime[sigma]
-    return xi2
+    return gap_products(spec.b, u) / a_prime_values(spec.b)
 
 
-def _chart_guard(spec: SpectrumSpec, u) -> None:
-    u = np.atleast_1d(np.asarray(u, float))
+def _chart_terms(spec: SpectrumSpec, w, u) -> tuple:
+    """(A(u_i), U'(u_i), Qt(u_i) / A(u_i)) from the differences u_i - b_sigma and
+    u_i - u_j, with Qt / A = -sum_sigma c_sigma / (u_i - b_sigma) in partial fractions,
+    c_sigma = w_sigma A'(b_sigma).  Raises SingularStratumError where the chart degenerates."""
     b = np.asarray(spec.b)
-    scale = float(np.max(np.abs(b)) + 1.0)
+    d = u[:, None] - b
+    scale = spectrum_scale(b)
     if u.size > 1 and np.min(np.diff(np.sort(u))) < CHART_TOL * scale:
         raise SingularStratumError("chart singular: repeated separated coordinates")
-    if np.min(np.abs(u[:, None] - b[None, :])) < CHART_TOL * scale:
+    if np.min(np.abs(d)) < CHART_TOL * scale:
         raise SingularStratumError("chart singular: u_i equals an eigenvalue")
+    w = np.asarray(w, float)
+    if w.size != b.size:
+        raise ConfigError("need one coupling w per block")
+    return np.prod(d, axis=1), a_prime_values(u), -(1.0 / d) @ (w * a_prime_values(b))
 
 
 def hamiltonian_separated(spec: SpectrumSpec, w, u, p) -> float:
@@ -328,17 +343,8 @@ def hamiltonian_separated(spec: SpectrumSpec, w, u, p) -> float:
     """
     u = np.atleast_1d(np.asarray(u, float))
     p = np.atleast_1d(np.asarray(p, float))
-    _chart_guard(spec, u)
-    b = np.asarray(spec.b)
-    w = np.asarray(w, float)
-    qt = qtilde_coeffs(spec, w)
-    total = []
-    for i in range(u.size):
-        a_u = float(np.prod(u[i] - b))
-        u_prime = float(np.prod(u[i] - np.delete(u, i))) if u.size > 1 else 1.0
-        total.append(-2.0 * a_u * p[i] ** 2 / u_prime)
-        total.append(float(poly_eval(qt, u[i])) / (2.0 * a_u * u_prime))
-    kinetic_plus_vw = math.fsum(total)
+    a_u, u_prime, qt_a = _chart_terms(spec, w, u)
+    kinetic_plus_vw = math.fsum([*(-2.0 * a_u * p ** 2 / u_prime), *(0.5 * qt_a / u_prime)])
     v = energy_shift(spec) - 0.5 * float(np.sum(u))
     return kinetic_plus_vw + v
 
@@ -354,17 +360,10 @@ def separation_constants(spec: SpectrumSpec, w, u, p) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, float))
     if u.size != spec.ell:
         raise ConfigError(f"need {spec.ell} separated coordinates")
-    _chart_guard(spec, u)
-    b = np.asarray(spec.b)
-    qt = qtilde_coeffs(spec, w)
-    vals = np.empty(spec.ell)
-    for i in range(spec.ell):
-        a_u = float(np.prod(u[i] - b))
-        vals[i] = (-2.0 * a_u * p[i] ** 2 - 0.5 * u[i] ** spec.ell
-                   + float(poly_eval(qt, u[i])) / (2.0 * a_u))
-    vander = np.vander(u, N=spec.ell)
+    a_u, _, qt_a = _chart_terms(spec, w, u)
+    vals = -2.0 * a_u * p ** 2 - 0.5 * u ** spec.ell + 0.5 * qt_a
     try:
-        return np.linalg.solve(vander, vals)
+        return np.linalg.solve(np.vander(u, N=spec.ell), vals)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("repeated separated coordinates: Vandermonde singular") from exc
 
@@ -373,12 +372,8 @@ def momentum_from_curve(curve: HyperellipticCurve, u, signs=None) -> np.ndarray:
     """|p_i| = sqrt(R(u_i)) / |2 A(u_i)| on the curve; ``signs`` picks sign(p_i)."""
     u = np.atleast_1d(np.asarray(u, float))
     signs = np.ones(u.size) if signs is None else np.asarray(signs, float)
-    out = np.empty(u.size)
-    for i in range(u.size):
-        val = float(curve.evaluate(u[i]))
-        a_u = float(np.prod(u[i] - curve.b))
-        out[i] = signs[i] * np.sqrt(max(val, 0.0)) / abs(2.0 * a_u)
-    return out
+    a_u = np.prod(u[:, None] - curve.b, axis=1)
+    return signs * np.sqrt(np.maximum(curve.evaluate(u), 0.0)) / np.abs(2.0 * a_u)
 
 
 # -- partial-fraction identities ------------------------------------------------------
@@ -398,8 +393,7 @@ def jacobi_identities(u, p_coeffs) -> tuple:
     ell = u.size
     if np.unique(u).size != ell:
         raise ConfigError("power-sum identities need distinct roots")
-    uprime = np.array([np.prod(u[i] - np.delete(u, i)) if ell > 1 else 1.0
-                       for i in range(ell)])
+    uprime = a_prime_values(u)
 
     def scaled(target, terms):
         s = math.fsum(terms)

@@ -36,7 +36,7 @@ from .errors import ConfigError, NumericalFailure
 from .model import SpectrumSpec
 from .reduction import SINGULAR_W_TOL
 from .separation import (HyperellipticCurve, a_prime_values, bracketed_roots,
-                         curve_from_energy, poly_der, poly_eval)
+                         curve_from_energy, poly_der, poly_eval, spectrum_scale)
 
 #: pairwise root gap (times scale) below which the curve counts as near-critical
 NEAR_CRITICAL_GAP = 1e-8
@@ -47,10 +47,6 @@ DOUBLING_TOL = 1e-9
 
 class NearCriticalWarning(UserWarning):
     """Curve has a nearly-double root: discriminant-locus proximity."""
-
-
-def _curve_scale(curve: HyperellipticCurve) -> float:
-    return float(np.max(np.abs(curve.b)) + 1.0)
 
 
 def _bordered_matrix(q: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,7 +83,7 @@ def branch_points(curve: HyperellipticCurve, w_tol: float = SINGULAR_W_TOL) -> n
     if ev[0].imag != 0 or np.any((pair.imag != 0).any(axis=1) & ~complex_pair):
         raise NumericalFailure(f"expected {2 * ell + 1} real branch points, found roots {ev}; "
                                "parameters may not describe bounded motion")
-    scale = _curve_scale(curve)
+    scale = spectrum_scale(curve.b)
     roots = ev.real.copy()
     mid = 0.5 * (pair[:, 0].real + pair[:, 1].real)
     r_ends = np.abs(c * a_prime)  # |R(b_sigma)| = w_sigma A'(b_sigma)^2
@@ -210,7 +206,7 @@ def _segment(curve: HyperellipticCurve, roots: np.ndarray | None, i: int) -> tup
     if not 0 <= i < len(segments):
         raise ConfigError(f"segment index {i} out of range for genus {curve.ell}")
     zlo, zhi = segments[i]
-    scale = _curve_scale(curve)
+    scale = spectrum_scale(curve.b)
     # the cycle doubles only where an end sits at an eigenvalue whose coupling vanishes
     at_end = ((np.abs(np.array([zlo, zhi])[:, None] - curve.b) < DOUBLING_TOL * scale)
               & (curve.w <= SINGULAR_W_TOL))
@@ -233,7 +229,7 @@ def action_integral(curve: HyperellipticCurve, i: int, tol: float = 1e-11,
     until self-convergence below ``tol``; ``roots`` are isolated when not given.
     """
     zlo, zhi, flag, others, at_end = _segment(curve, roots, i)
-    if zhi - zlo < NEAR_CRITICAL_GAP * _curve_scale(curve):
+    if zhi - zlo < NEAR_CRITICAL_GAP * spectrum_scale(curve.b):
         return 0.0, flag
     poles, end_pole = curve.b[~at_end.any(axis=0)], at_end.any(axis=1)
 
@@ -339,7 +335,7 @@ def period_lattice(spec: SpectrumSpec, w, h: float, extra_rho=(),
     extra = tuple(float(v) for v in extra_rho)
     curve = curve_from_energy(spec, w, h, extra)
     roots = branch_points(curve)
-    if float(np.min(np.diff(roots))) < 1e-6 * _curve_scale(curve):
+    if float(np.min(np.diff(roots))) < 1e-6 * spectrum_scale(curve.b):
         raise NumericalFailure("near-discriminant parameters: period lattice ill-conditioned")
     names = ("h", *[f"rho_{k}" for k in range(2, ell + 1)],
              *[f"J_{s}" for s in j_blocks])

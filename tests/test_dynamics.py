@@ -321,6 +321,15 @@ def test_measure_period_fails_fast_on_blow_up(spec22):
     assert exc.value.time == pytest.approx(0.956)
 
 
+def test_measure_period_collision_is_blow_up(spec22):
+    # step 928 carries xi_0 (coupling -0.05) through 0 and eta_0 from -3.9 to 60.8
+    # while the state stays finite: the crossing it fakes is a collision
+    xi0 = (np.cos(0.3), np.sin(0.3))
+    with pytest.raises(BlowUpDetected) as exc:
+        measure_period(spec22, (-0.05, 0.25), xi0, np.zeros(2))
+    assert exc.value.time == pytest.approx(0.928)
+
+
 def test_measure_period_no_return_within_t_max(spec22):
     xi0 = (np.cos(0.8), np.sin(0.8))
     with pytest.raises(NumericalFailure, match=r"no section return within t_max=1\.0"):

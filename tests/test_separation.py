@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,57 @@ def test_bracketed_roots_per_bracket_data():
     assert len(set(live)) >= 3
 
 
+def test_bracketed_roots_terminate_on_poor_slopes():
+    # Newton creeps on a root of multiplicity 51 and under a slope 1e3 times too
+    # steep; after 50 iterations the brackets are only halved
+    for fdf, tol in (((lambda z: ((z - 0.3) ** 51, 51.0 * (z - 0.3) ** 50)), 1e-6),
+                     ((lambda z: (z - 0.3, np.full_like(z, 1e3))), 1e-9)):
+        fdf, seen = _newton_calls(fdf)
+        assert bracketed_roots(fdf, 0.0, 1.0, True, 1e-12) == pytest.approx(0.3, abs=tol)
+        assert len(seen) < 100
+
+
+def _exact_rho(b, w, u, p):
+    """rho solved in rational arithmetic from the float (b, w, u, p): the values
+    P(u_i) with Qt / A = -sum w_sigma A'(b_sigma) / (u_i - b_sigma), then the
+    Vandermonde system by Gauss-Jordan elimination, rounded once at the end."""
+    b, w, u, p = ([Fraction(float(x)) for x in v] for v in (b, w, u, p))
+    ell = len(u)
+    c = [w[s] * math.prod(b[s] - bt for t, bt in enumerate(b) if t != s)
+         for s in range(len(b))]
+    rows = []
+    for ui, pi in zip(u, p):
+        a_u = math.prod(ui - bs for bs in b)
+        qt_a = -sum(cs / (ui - bs) for cs, bs in zip(c, b))
+        rows.append([ui ** (ell - 1 - k) for k in range(ell)]
+                    + [-2 * a_u * pi ** 2 - ui ** ell / 2 + qt_a / 2])
+    for col in range(ell):
+        for r in range(ell):
+            if r != col:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return np.array([float(rows[k][ell] / rows[k][k]) for k in range(ell)])
+
+
+@pytest.mark.parametrize("b", [(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                               (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 100.0)])
+def test_separation_constants_match_exact_rho(b):
+    # Qt / A in partial fractions keeps rho near the exact solve; monomial Qt,
+    # evaluated at u, loses digits to cancellation (1.6e-11 on the second spectrum)
+    spec = validate_spectrum(b, (2,) * len(b))
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(20):
+        rc = random_regular_reduced(spec, rng)
+        while np.min(rc.w) < 1e-3:
+            rc = random_regular_reduced(spec, rng)
+        st = to_separated(spec, rc.w, rc.xi, rc.eta)
+        exact = _exact_rho(spec.b, rc.w, st.u, st.p)
+        rho = separation_constants(spec, rc.w, st.u, st.p)
+        worst = max(worst, np.max(np.abs(rho - exact)) / max(1.0, np.max(np.abs(exact))))
+    assert worst < 1e-12
+
+
 def test_from_separated_examples(spec22):
     xi2 = from_separated(spec22, [0.5])
     assert np.allclose(xi2, 0.5)
@@ -310,6 +362,15 @@ def test_hamiltonian_separated_chart_errors(spec212):
         hamiltonian_separated(spec212, (0.1, 0.0, 0.1), [1.0, 1.5], [0.0, 0.0])
     with pytest.raises(SingularStratumError):
         hamiltonian_separated(spec212, (0.1, 0.0, 0.1), [0.5, 0.5], [0.0, 0.0])
+
+
+def test_chart_rejects_wrong_number_of_couplings(spec212):
+    # a single w would broadcast over the blocks without the check
+    for w in ((0.1,), (0.1, 0.2)):
+        with pytest.raises(ConfigError, match="one coupling w per block"):
+            hamiltonian_separated(spec212, w, [0.5, 1.5], [0.0, 0.0])
+        with pytest.raises(ConfigError, match="one coupling w per block"):
+            separation_constants(spec212, w, [0.5, 1.5], [0.0, 0.0])
 
 
 def test_jacobi_identities_hand_case():
