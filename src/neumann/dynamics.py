@@ -263,12 +263,26 @@ def measure_period(spec: SpectrumSpec, w, xi0, eta0, section_index: int = 0,
     is the time between two consecutive same-direction crossings.  In a step
     that crosses, ``bracketed_roots`` solves to 1e-12 for the tau in (0, dt]
     at which a projected step of length tau lands on the section (Newton
-    slope: the field's d eta_k/dt).  A non-finite state raises BlowUpDetected,
-    and so does a crossing step in which some xi_sigma with w_sigma != 0 changes
-    sign: such a step jumped through the collision xi_sigma = 0.
+    slope: the field's d eta_k/dt).  A start on the section (eta0[k] == 0)
+    moving upward is itself the first crossing, so a turning-point start
+    costs one period of steps, not two; this holds only when no coupling is
+    negative.  With some w_sigma < 0 the flow can reach the collision
+    xi_sigma = 0 in finite time, and stepping to two crossings is what
+    catches it.  A non-finite state raises BlowUpDetected, and so does a
+    crossing step in which some xi_sigma with w_sigma != 0 changes sign: such
+    a step jumped through the collision xi_sigma = 0.  A step dt that is not
+    finite and positive, a section index outside 0..ell or a coupling list
+    not of length ell + 1 raises ConfigError.
     """
+    w = np.asarray(w, float)
+    if w.shape != (spec.ell + 1,):
+        raise ConfigError(f"need {spec.ell + 1} couplings, one per block")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"step dt must be finite and positive, got {dt}")
+    if not 0 <= section_index <= spec.ell:
+        raise ConfigError(f"section index must lie in 0..{spec.ell}, got {section_index}")
     gradient = amended_gradient(spec, w)
-    coupled = np.asarray(w, float) != 0.0
+    coupled = w != 0.0
     k = section_index
 
     def fdf(tau, xi, eta):
@@ -279,6 +293,8 @@ def measure_period(spec: SpectrumSpec, w, xi0, eta0, section_index: int = 0,
     eta = np.asarray(eta0, float)
     t = 0.0
     crossings = []
+    if eta[k] == 0.0 and np.all(w >= 0.0) and constrained_field(gradient(xi), xi, eta)[1][k] > 0.0:
+        crossings.append(0.0)
     while t < t_max and len(crossings) < 2:
         xi_new, eta_new = rk4_projected_step(gradient, xi, eta, dt)
         if not math.isfinite(eta_new[k]):

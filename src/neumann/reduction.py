@@ -244,6 +244,9 @@ def amended_gradient(spec: SpectrumSpec, w):
     b = np.asarray(spec.b)
     w = np.asarray(w, float)
     mask = w != 0.0
+    if mask.all():
+        # bitwise the same as the masked form below, without its np.where per call
+        return lambda xi: b * xi - w / xi ** 3
 
     def gradient(xi):
         return b * xi - w / np.where(mask, xi, 1.0) ** 3

@@ -10,7 +10,9 @@ from neumann.dynamics import (conserved_series, critical_energy_hessian,
 from neumann.errors import BlowUpDetected, ConfigError, NumericalFailure, OffManifoldError
 from neumann.model import random_phase_point, validate_spectrum
 from neumann.poisson import integrals_f, momentum_map
-from neumann.reduction import amended_potential_gradient, regular_coordinates
+from neumann.reduction import (amended_potential_gradient, integrate_reduced,
+                               reduced_hamiltonian, reduced_vector_field, regular_coordinates)
+from neumann.spectral import period_lattice
 
 from conftest import random_regular_reduced
 
@@ -334,6 +336,55 @@ def test_measure_period_no_return_within_t_max(spec22):
     xi0 = (np.cos(0.8), np.sin(0.8))
     with pytest.raises(NumericalFailure, match=r"no section return within t_max=1\.0"):
         measure_period(spec22, (0.25, 0.25), xi0, np.zeros(2), t_max=1.0)
+
+
+def _turning_point_state(seed):
+    # a measure_period benchmark state: eta0 = 0 at an angle above the equilibrium
+    rng = np.random.default_rng(seed)
+    w = 0.25 * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, 2))
+    theta = np.pi / 4 + rng.uniform(0.0, 0.1)
+    return w, np.array([np.cos(theta), np.sin(theta)]), np.zeros(2)
+
+
+def _lattice_period(spec, w, xi0, eta0):
+    h = reduced_hamiltonian(spec, w, xi0, eta0)
+    return 2 * np.pi * period_lattice(spec, w, h).t[0, 0]
+
+
+def test_measure_period_counts_upward_start_on_section(spec22):
+    # the start is the first crossing, so one period of stepping suffices
+    w, xi0, eta0 = _turning_point_state(31)
+    assert reduced_vector_field(spec22, w, xi0, eta0)[1][0] > 0.0
+    predicted = _lattice_period(spec22, w, xi0, eta0)
+    period = measure_period(spec22, w, xi0, eta0, t_max=1.2 * predicted)
+    assert period == pytest.approx(predicted, rel=1e-9)
+
+
+def test_measure_period_off_section_start_agrees(spec22):
+    w, xi0, eta0 = _turning_point_state(31)
+    traj = integrate_reduced(spec22, w, xi0, eta0, 0.3)
+    xi, eta = traj.state(-1)
+    assert traj.t[-1] == pytest.approx(0.3) and np.all(eta != 0.0)
+    assert measure_period(spec22, w, xi, eta) == pytest.approx(
+        measure_period(spec22, w, xi0, eta0), rel=1e-9)
+
+
+def test_measure_period_downward_start_is_not_counted(spec22):
+    w, xi0, eta0 = _turning_point_state(31)
+    assert reduced_vector_field(spec22, w, xi0, eta0)[1][1] < 0.0
+    assert measure_period(spec22, w, xi0, eta0, section_index=1) == pytest.approx(
+        measure_period(spec22, w, xi0, eta0), rel=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [{"dt": -1e-3}, {"dt": 0.0}, {"dt": float("nan")},
+                                    {"section_index": 2}, {"section_index": -1},
+                                    {"w": (0.25, 0.25, 0.25)}],
+                         ids=["dt-negative", "dt-zero", "dt-nan", "section-2", "section-minus-1",
+                              "three-couplings"])
+def test_measure_period_rejects_bad_arguments(spec22, kwargs):
+    args = dict(zip(("w", "xi0", "eta0"), _turning_point_state(31)), **kwargs)
+    with pytest.raises(ConfigError):
+        measure_period(spec22, **args)
 
 
 def test_conserved_series_contains_all_columns(spec212, rng):
