@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -75,6 +76,22 @@ def load_config(path: str) -> dict:
     if errors:
         raise ConfigError("; ".join(errors))
     return cfg
+
+
+def _positive(section: dict, key: str, default):
+    """A numeric config field: a finite float > 0, or an int >= 1 where ``default`` is
+    an int.  Anything else is a ConfigError, raised before any work or output."""
+    value = section.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    integer = isinstance(default, int)
+    if not (math.isfinite(number) and (number >= 1 and number == int(number) if integer
+                                       else number > 0)):
+        kind = "an integer >= 1" if integer else "a finite number > 0"
+        raise ConfigError(f"{key}: must be {kind}, got {value!r}")
+    return int(number) if integer else number
 
 
 def _spec(cfg) -> SpectrumSpec:
@@ -154,11 +171,11 @@ def cmd_simulate(args, cfg) -> int:
     spec = _spec(cfg)
     p0 = _full_initial(cfg, spec)
     integ = cfg.get("integration", {})
-    t_end = float(integ.get("t_end", 10.0))
-    dt = float(integ.get("dt", 1e-3))
-    rtol = float(integ.get("rtol", 1e-10))
+    t_end = _positive(integ, "t_end", 10.0)
+    dt = _positive(integ, "dt", 1e-3)
+    rtol = _positive(integ, "rtol", 1e-10)
     traj = dynamics.integrate(spec, p0, t_end, dt=dt,
-                              save_every=int(integ.get("save_every", 10)),
+                              save_every=_positive(integ, "save_every", 10),
                               adaptive=bool(integ.get("adaptive", False)),
                               rtol=rtol)
     series = dynamics.conserved_series(spec, traj)
@@ -185,9 +202,9 @@ def cmd_reduce(args, cfg) -> int:
     spec = _spec(cfg)
     init = cfg.get("initial", {})
     integ = cfg.get("integration", {})
-    t_end = float(integ.get("t_end", 10.0))
-    dt = float(integ.get("dt", 1e-3))
-    save_every = int(integ.get("save_every", 10))
+    t_end = _positive(integ, "t_end", 10.0)
+    dt = _positive(integ, "dt", 1e-3)
+    save_every = _positive(integ, "save_every", 10)
     if "x" in init:
         p0 = _full_initial(cfg, spec)
         traj = dynamics.integrate(spec, p0, t_end, dt=dt, save_every=save_every)
@@ -319,9 +336,9 @@ def cmd_convexity(args, cfg) -> int:
     if "h" not in exp:
         raise ConfigError("experiment: convexity needs the boundary energy h")
     report = atlas.convexity_check(spec, float(exp["h"]),
-                                   n_samples=int(exp.get("n_samples", 64)),
+                                   n_samples=_positive(exp, "n_samples", 64),
                                    seed=int(cfg.get("seed", 0)),
-                                   n_pairs=int(exp.get("n_pairs", 200)))
+                                   n_pairs=_positive(exp, "n_pairs", 200))
     notes = [f"h_star: {fmt(report.h_star)}"]
     if not report.threshold_met:
         notes.append(f"threshold not met: h - h_star = {fmt(report.margin)}")
@@ -380,10 +397,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         return COMMANDS[args.command](args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OffManifoldError as exc:
+    except (ConfigError, OffManifoldError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SingularStratumError as exc:

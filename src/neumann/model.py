@@ -35,6 +35,8 @@ class SpectrumSpec:
         m = tuple(int(v) for v in self.m)
         if len(b) == 0 or len(b) != len(m):
             raise ConfigError("spectrum: b and m must be nonempty lists of equal length")
+        if not all(map(math.isfinite, b)):
+            raise ConfigError("spectrum: eigenvalues b must be finite")
         if any(mu < 1 for mu in m):
             raise ConfigError("spectrum: all multiplicities must be >= 1")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):

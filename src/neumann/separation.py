@@ -35,16 +35,32 @@ class NearSingularChartWarning(UserWarning):
 
 
 # -- exact polynomial arithmetic (coefficients highest degree first) ----------------
-# Construction runs in rational arithmetic on the exactly-representable float
-# inputs and rounds once per coefficient, so stored coefficient lists are
-# correctly rounded; degrees stay <= 2*ell + 1 with ell <= 6 supported.
+# Float inputs are dyadic: ``_scaled`` writes them as ints X / 2**E at one common E.
+# With z weighted by 2**E, coefficient m of A, QA, Qt and R is an int N_m at scale
+# 2**(m*E), built exactly and rounded once by CPython's correctly rounded N_m / 2**(m*E).
 
-def _exact_conv(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+def _scaled(*groups) -> tuple:
+    """(E, ints of each group): every float v of the groups as the int v * 2**E, with
+    E >= 0 the smallest exponent common to all of them."""
+    try:
+        ratios = [[float(v).as_integer_ratio() for v in g] for g in groups]
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"curve inputs must be finite: {exc}") from exc
+    e = max((d.bit_length() - 1 for g in ratios for _, d in g), default=0)
+    return (e, *([n << (e + 1 - d.bit_length()) for n, d in g] for g in ratios))
+
+
+def _int_from_roots(roots, poly=(1,)) -> list:
+    """Coefficients of poly(z) prod (z - r) over int roots r, as ints."""
+    out = list(poly)
+    for r in roots:
+        out = [hi - r * lo for hi, lo in zip(out + [0], [0] + out)]
     return out
+
+
+def _unscaled(coeffs, e: int, first: int = 0) -> np.ndarray:
+    """Floats N_m / 2**((first + m) * e), each correctly rounded."""
+    return np.array([n / (1 << ((first + m) * e)) for m, n in enumerate(coeffs)])
 
 
 def a_prime_values(b) -> np.ndarray:
@@ -66,15 +82,9 @@ def spectrum_scale(b) -> float:
     return float(np.max(np.abs(b)) + 1.0)
 
 
-def _exact_from_roots(roots):
-    out = [Fraction(1)]
-    for r in roots:
-        out = _exact_conv(out, [Fraction(1), -Fraction(float(r))])
-    return out
-
-
 def poly_from_roots(roots) -> np.ndarray:
-    return np.array([float(c) for c in _exact_from_roots(np.asarray(roots, float))])
+    e, ints = _scaled(np.asarray(roots, float))
+    return _unscaled(_int_from_roots(ints), e)
 
 
 def poly_der(a) -> np.ndarray:
@@ -93,15 +103,6 @@ def poly_eval(a, z):
     for c in a[1:]:
         result = result * z + c
     return result
-
-
-def poly_eval_exact(a, z: float) -> float:
-    """Scalar Horner evaluation in rational arithmetic (one final rounding)."""
-    acc = Fraction(0)
-    zf = Fraction(float(z))
-    for c in a:
-        acc = acc * zf + (c if isinstance(c, Fraction) else Fraction(float(c)))
-    return float(acc)
 
 
 # -- one root per bracket ----------------------------------------------------------------
@@ -168,7 +169,7 @@ class HyperellipticCurve:
     rho: np.ndarray
     w: np.ndarray
     b: np.ndarray
-    r_exact: tuple = None
+    r_exact: tuple
 
     def __post_init__(self):
         for name in ("r", "rho", "w", "b"):
@@ -182,8 +183,11 @@ class HyperellipticCurve:
         return poly_eval(self.r, z)
 
     def evaluate_exact(self, z: float) -> float:
-        coeffs = self.r_exact if self.r_exact is not None else self.r
-        return poly_eval_exact(coeffs, z)
+        """R(z) by Horner on ``r_exact`` in rational arithmetic, rounded once."""
+        acc, zf = Fraction(0), Fraction(float(z))
+        for c in self.r_exact:
+            acc = acc * zf + c
+        return float(acc)
 
     def a_prime(self, sigma: int) -> float:
         return float(a_prime_values(self.b)[sigma])
@@ -199,17 +203,15 @@ class HyperellipticCurve:
 
 @lru_cache(maxsize=256)
 def _qtilde_exact(b: tuple, w: tuple) -> tuple:
-    out = [Fraction(0)] * len(b)
-    for sigma in range(len(b)):
-        others = [b[t] for t in range(len(b)) if t != sigma]
-        a_prime = Fraction(1)
-        for o in others:
-            a_prime *= Fraction(b[sigma]) - Fraction(o)
-        term = _exact_from_roots(others)
-        coeff = -Fraction(w[sigma]) * a_prime
-        for k, c in enumerate(term):
+    """(E, N): coefficient k of Qt is N[k] / 2**((k + ell + 1) * E), with E from (b, w)."""
+    e, b_int, w_int = _scaled(b, w)
+    out = [0] * len(b)
+    for sigma, (b_s, w_s) in enumerate(zip(b_int, w_int)):
+        others = b_int[:sigma] + b_int[sigma + 1:]
+        coeff = -w_s * math.prod(b_s - o for o in others)
+        for k, c in enumerate(_int_from_roots(others)):
             out[k] += coeff * c
-    return tuple(out)
+    return e, tuple(out)
 
 
 def qtilde_coeffs(spec: SpectrumSpec, w) -> np.ndarray:
@@ -217,11 +219,12 @@ def qtilde_coeffs(spec: SpectrumSpec, w) -> np.ndarray:
     w = np.asarray(w, float)
     if w.size != len(spec.b):
         raise ConfigError("need one coupling w per block")
-    return np.array([float(c) for c in _qtilde_exact(spec.b, tuple(map(float, w)))])
+    e, qt = _qtilde_exact(spec.b, tuple(map(float, w)))
+    return _unscaled(qt, e, len(qt))
 
 
 def build_polynomials(spec: SpectrumSpec, w, rho) -> HyperellipticCurve:
-    """Assemble R = -Q A + Qt by exact coefficient convolution.
+    """Assemble R = -Q A + Qt by exact integer convolution (see ``_scaled``).
 
     R has degree 2*ell+1, leading coefficient -1, and satisfies
     R(b_sigma) = -w_sigma A'(b_sigma)^2 for every sigma.
@@ -230,14 +233,14 @@ def build_polynomials(spec: SpectrumSpec, w, rho) -> HyperellipticCurve:
     if rho.size != spec.ell:
         raise ConfigError(f"need {spec.ell} separation constants, got {rho.size}")
     w = np.asarray(w, float)
-    q = [Fraction(1)] + [2 * Fraction(float(v)) for v in rho]
-    qa = _exact_conv(q, _exact_from_roots(spec.b))
-    qt = _qtilde_exact(spec.b, tuple(map(float, w)))
-    r = [-c for c in qa]
-    for k, c in enumerate(qt):
-        r[k + len(r) - len(qt)] += c
-    return HyperellipticCurve(r=np.array([float(c) for c in r]), rho=rho, w=w,
-                              b=np.asarray(spec.b), r_exact=tuple(r))
+    e, b_int, _, rho_int = _scaled(spec.b, w, rho)
+    e_qt, qt = _qtilde_exact(spec.b, tuple(map(float, w)))
+    # -Q A, with Q's coefficient 2 rho_k moved from rho's scale 2**E to 2**(k*E)
+    r = _int_from_roots(b_int, [-1] + [-2 * v << (k * e) for k, v in enumerate(rho_int)])
+    for m, c in enumerate(qt, len(qt)):  # Qt fills the ell + 1 lowest coefficients
+        r[m] += c << (m * (e - e_qt))
+    return HyperellipticCurve(r=_unscaled(r, e), rho=rho, w=w, b=np.asarray(spec.b),
+                              r_exact=tuple(Fraction(c, 1 << (m * e)) for m, c in enumerate(r)))
 
 
 def energy_shift(spec: SpectrumSpec) -> float:

@@ -71,8 +71,11 @@ def branch_points(curve: HyperellipticCurve, w_tol: float = SINGULAR_W_TOL) -> n
     B = NEAR_CRITICAL_GAP max |R(gap ends)|, is judged by the maximum R_max of R:
     below -B it is complex (raises), up to B a double root at the maximum,
     above B two roots, one on each side.  Warns when two roots nearly coincide.
+    A coupling below -SINGULAR_W_TOL is a ConfigError: R then has no real meaning.
     """
     b, ell = curve.b, curve.ell
+    if np.any(curve.w < -SINGULAR_W_TOL):
+        raise ConfigError(f"couplings w = {curve.w} must be >= 0 on the spectral path")
     a_prime = a_prime_values(b)
     q = np.concatenate([[1.0], 2.0 * curve.rho])
     c = np.where(curve.w > w_tol, curve.w * a_prime, 0.0)

@@ -212,3 +212,40 @@ def test_float_format_roundtrip(tmp_path):
     from neumann.cli import fmt
     for v in rows[3]:
         assert float(fmt(v)) == v
+
+
+REDUCED_STATE = {"xi": [0.6, 0.48, 0.64], "eta": [0.0, 0.8, -0.6], "w": [0.04, 0.09, 0.0625]}
+
+# (command, config section, field, value, text in the message); each exits 2
+INVALID_FIELDS = [
+    ("simulate", "integration", "save_every", 0, "save_every"),
+    ("simulate", "integration", "save_every", 2.5, "save_every"),
+    ("simulate", "integration", "t_end", -1.0, "t_end"),
+    ("simulate", "integration", "dt", "abc", "dt"),
+    ("simulate", "integration", "rtol", float("nan"), "rtol"),
+    ("reduce", "integration", "t_end", -1.0, "t_end"),
+    ("reduce", "integration", "dt", float("inf"), "dt"),
+    ("reduce", "integration", "save_every", 0, "save_every"),
+    ("convexity", "experiment", "n_samples", 0, "n_samples"),
+    ("convexity", "experiment", "n_pairs", 0, "n_pairs"),
+    ("separate", "spectrum", "b", [0.0, float("nan"), 2.0], "finite"),
+    ("actions", "initial", "w", [-0.04, 0.09, 0.0625], "w"),
+]
+
+
+@pytest.mark.parametrize("command, section, key, value, text", INVALID_FIELDS,
+                         ids=[f"{c[0]}-{c[2]}={c[3]}" for c in INVALID_FIELDS])
+def test_invalid_numeric_field_exits_2_before_output(tmp_path, capsys, command, section,
+                                                      key, value, text):
+    payload = base_config()
+    if command != "simulate":
+        payload["spectrum"] = {"b": [0.0, 1.0, 2.0], "m": [2, 2, 2]}
+        payload["initial"] = dict(REDUCED_STATE)
+    payload["experiment"] = {"h": 1.0, "n_samples": 8, "n_pairs": 20}
+    payload[section][key] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and text in err and "Traceback" not in err
+    assert not out.exists()

@@ -398,7 +398,7 @@ def test_flag_two_actions_self_converge_tightly(spec212):
 @pytest.mark.xfail(strict=True, raises=NumericalFailure,
                    reason="a branch point within O(w_1) of the pole at b_1 makes the action "
                           "integrand peak like 1/|z - b_1| and it does not self-converge; "
-                          "ROADMAP item 1 splits that pole off the action integrand")
+                          "ROADMAP item 11 makes the action quadrature uniform in the couplings")
 def test_actions_self_converge_at_small_coupling(spec222):
     # the period lattice already splits this pole off (test_period_lattice_small_coupling)
     rng = np.random.default_rng(3)
@@ -421,3 +421,19 @@ def test_actions_do_not_amplify_root_rounding(b):
         for i in range(spec.ell):
             assert abs(action_integral(curve, i, roots=roots)[0]
                        - action_integral(curve, i, roots=exact)[0]) <= 1e-13
+
+
+def test_negative_coupling_is_config_error_on_the_spectral_path(spec222):
+    # R(b_0) = -w_0 A'(b_0)^2 > 0 here: no bounded motion has these parameters
+    w = (-0.04, 0.09, 0.0625)
+    with pytest.raises(ConfigError, match="w"):
+        branch_points(curve_from_energy(spec222, w, 1.5, (0.2,)))
+    with pytest.raises(ConfigError, match="w"):
+        period_lattice(spec222, w, 1.5, (0.2,))
+    # a coupling within SINGULAR_W_TOL of zero still counts as zero
+    xi, eta = np.array([0.6, 0.48, 0.64]), np.array([0.0, 0.8, -0.6])
+    w = np.array([0.0, 0.09, 0.0625])
+    st = to_separated(spec222, w, xi, eta)
+    rho = separation_constants(spec222, w, st.u, st.p)
+    w[0] = -1e-13
+    assert 0.0 in branch_points(build_polynomials(spec222, w, rho))  # b_0 exactly
