@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, atlas, dynamics, reduction, separation, spectral
 from .errors import (ConfigError, NeumannError, NumericalFailure,
                      OffManifoldError, SingularStratumError)
-from .model import PhasePoint, SpectrumSpec, check_on_manifold
+from .model import PhasePoint, SpectrumSpec, check_on_manifold, check_reduced_state
 
 log = logging.getLogger("neumann")
 
@@ -94,6 +94,14 @@ def _positive(section: dict, key: str, default):
     return int(number) if integer else number
 
 
+def _numbers(value, key: str) -> np.ndarray:
+    """A config list of numbers as a float array; a non-number in it is a ConfigError."""
+    try:
+        return np.asarray(value, float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: must be a list of numbers ({exc})") from exc
+
+
 def _spec(cfg) -> SpectrumSpec:
     return SpectrumSpec.from_dict(cfg["spectrum"])
 
@@ -102,7 +110,7 @@ def _full_initial(cfg, spec) -> PhasePoint:
     init = cfg.get("initial", {})
     if "x" not in init or "y" not in init:
         raise ConfigError("initial: needs fields x and y for a full-system command")
-    p = PhasePoint(np.asarray(init["x"], float), np.asarray(init["y"], float))
+    p = PhasePoint(_numbers(init["x"], "x"), _numbers(init["y"], "y"))
     if p.dim != spec.n_coords:
         raise ConfigError(f"initial: expected {spec.n_coords} coordinates, got {p.dim}")
     check_on_manifold(p, cfg.get("integration", {}).get("tol", 1e-9))
@@ -113,11 +121,10 @@ def _reduced_initial(cfg, spec) -> tuple:
     init = cfg.get("initial", {})
     if not all(k in init for k in ("xi", "eta", "w")):
         raise ConfigError("initial: needs fields xi, eta, w for a reduced command")
-    xi = np.asarray(init["xi"], float)
-    eta = np.asarray(init["eta"], float)
-    w = np.asarray(init["w"], float)
-    if not (xi.size == eta.size == w.size == spec.ell + 1):
+    xi, eta, w = (_numbers(init[key], key) for key in ("xi", "eta", "w"))
+    if not (xi.shape == eta.shape == w.shape == (spec.ell + 1,)):
         raise ConfigError(f"initial: reduced fields need {spec.ell + 1} entries per block")
+    check_reduced_state(xi, eta)
     return xi, eta, w
 
 
@@ -255,7 +262,7 @@ def cmd_actions(args, cfg) -> int:
     spec = _spec(cfg)
     exp = cfg.get("experiment", {})
     if "w" in exp:
-        w = np.asarray(exp["w"], float)
+        w = _numbers(exp["w"], "w")
         h = float(exp["h"])
         extra = tuple(exp.get("extra_rho", ()))
     else:
@@ -286,7 +293,7 @@ def cmd_equilibria(args, cfg) -> int:
         raise ConfigError("experiment: equilibria needs j or j_grid")
     if len({np.size(j) for j in j_list}) != 1:
         raise ConfigError("need one momentum value per block")
-    eq = dynamics.relative_equilibrium(spec, np.asarray(j_list, float))
+    eq = dynamics.relative_equilibrium(spec, _numbers(j_list, "j"))
     rows = np.column_stack([eq.j, eq.beta, eq.omega, eq.xi, eq.h, eq.energy])
     ell1 = spec.ell + 1
     columns = ([f"j_{s}" for s in range(ell1)] + ["beta"]
@@ -310,7 +317,7 @@ def cmd_locus(args, cfg) -> int:
     exp = cfg.get("experiment", {})
     if "w" not in exp:
         raise ConfigError("experiment: locus needs the coupling list w")
-    w = np.asarray(exp["w"], float)
+    w = _numbers(exp["w"], "w")
     s_values = exp.get("s_values")
     if s_values is None:
         b = np.asarray(spec.b)

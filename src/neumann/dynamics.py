@@ -1,26 +1,32 @@
 """Trajectory integration with constraint control, equilibria, and periods.
 
-The integrator is the projected RK4 step of ``model``: a classical
+The integrator is the one projected RK4 step of ``model``: a classical
 4th-order step followed by projection onto T*S^n (x normalized, y made
 tangent).  The projection is what holds C1 = 1 and C2 = 0: off the manifold
 the field gives d/dt C2 = (C1 - 1)(<x, grad V> - |y|^2), so errors in the
 constraints would otherwise grow.  The same step drives the reduced
 Rosochatius flow and the period measurement, whose section crossings
-``bracketed_roots`` solves.  An adaptive mode estimates its error by step doubling.
+``bracketed_roots`` solves.  The step has two kernels with the same bits,
+chosen by the state's shape (``model.kernel_state``): a single state of at
+most 7 coordinates is stepped in Python floats, where numpy's per-call cost
+would dominate; a batch, the crossing solve's column of step sizes and a
+longer state are stepped in numpy.  Up to 7 terms numpy sums left to right,
+as the float kernel does; from 8 on it does not.  An adaptive mode, numpy
+only, estimates its error by step doubling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .errors import BlowUpDetected, ConfigError, NumericalFailure, OffManifoldError
-from .model import (PhasePoint, SpectrumSpec, check_on_manifold, constrained_field,
-                    integrate_projected, rk4_projected_step)
+from .model import (PhasePoint, Potential, SpectrumSpec, check_on_manifold,
+                    check_reduced_state, constrained_field, integrate_projected, kernel_state,
+                    rk4_projected_step)
 from .poisson import _block_casimirs, _l_matrix, _uhlenbeck
-from .reduction import amended_gradient, reduced_vector_field
+from .reduction import reduced_vector_field
 from .separation import bracketed_roots
 
 
@@ -45,13 +51,8 @@ class Trajectory:
         return PhasePoint(self.x[k], self.y[k])
 
 
-def _full_gradient(spec: SpectrumSpec):
-    """grad V = A x as a callback for the projected stepper."""
-    return partial(np.multiply, spec.a_vec)
-
-
 def _integrate_adaptive(spec, x, y, t_end, dt0, rtol, save_every):
-    gradient = _full_gradient(spec)
+    potential = Potential(spec.a_vec)
     t, dt = 0.0, dt0
     ts, xs, ys = [0.0], [x.copy()], [y.copy()]
     accepted = 0
@@ -59,9 +60,9 @@ def _integrate_adaptive(spec, x, y, t_end, dt0, rtol, save_every):
         dt = min(dt, t_end - t)
         if dt < 1e-14:
             raise NumericalFailure("step size underflow in adaptive integration")
-        x1, y1 = rk4_projected_step(gradient, x, y, dt)
-        xh, yh = rk4_projected_step(gradient, x, y, 0.5 * dt)
-        x2, y2 = rk4_projected_step(gradient, xh, yh, 0.5 * dt)
+        x1, y1 = rk4_projected_step(potential, x, y, dt)
+        xh, yh = rk4_projected_step(potential, x, y, 0.5 * dt)
+        x2, y2 = rk4_projected_step(potential, xh, yh, 0.5 * dt)
         err = max(np.max(np.abs(x2 - x1)), np.max(np.abs(y2 - y1))) / 15.0
         scale = rtol * (1.0 + max(np.max(np.abs(x)), np.max(np.abs(y))))
         if err <= scale:
@@ -80,26 +81,34 @@ def _integrate_adaptive(spec, x, y, t_end, dt0, rtol, save_every):
 def integrate(spec: SpectrumSpec, p0: PhasePoint, t_end: float, dt: float = 1e-3,
               save_every: int = 10, adaptive: bool = False, rtol: float = 1e-10,
               on_manifold_tol: float = 1e-9) -> Trajectory:
-    """Integrate the constrained flow from an on-manifold initial point."""
+    """Integrate the constrained flow from an on-manifold initial point.
+
+    The fixed-step mode takes ``model``'s float kernel for up to 7
+    coordinates and its numpy kernel above; the adaptive mode takes numpy.
+    """
     check_on_manifold(p0, on_manifold_tol)
     if adaptive:
         t, x, y = _integrate_adaptive(spec, p0.x, p0.y, t_end, dt, rtol, save_every)
     else:
-        t, x, y = integrate_projected(_full_gradient(spec), p0.x, p0.y, t_end, dt, save_every)
+        t, x, y = integrate_projected(Potential(spec.a_vec), p0.x, p0.y, t_end, dt, save_every)
     return Trajectory(t, x, y, meta={"dt": dt, "adaptive": adaptive})
 
 
 def integrate_batch(spec: SpectrumSpec, x0: np.ndarray, y0: np.ndarray, t_end: float,
                     dt: float = 1e-3, save_every: int = 10,
                     on_manifold_tol: float = 1e-9) -> Trajectory:
-    """Fixed-step integration of several trajectories at once (rows of x0, y0)."""
+    """Fixed-step integration of several trajectories at once (rows of x0, y0).
+
+    Rows are stepped by ``model``'s numpy kernel; each row has the bits that
+    ``integrate`` gives the same state.
+    """
     x0 = np.atleast_2d(np.asarray(x0, float))
     y0 = np.atleast_2d(np.asarray(y0, float))
     c1 = np.sum(x0 * x0, axis=-1)
     c2 = np.sum(x0 * y0, axis=-1)
     if np.max(np.abs(c1 - 1)) > on_manifold_tol or np.max(np.abs(c2)) > on_manifold_tol:
         raise OffManifoldError("batch initial conditions off T*S^n")
-    t, x, y = integrate_projected(_full_gradient(spec), x0, y0, t_end, dt, save_every)
+    t, x, y = integrate_projected(Potential(spec.a_vec), x0, y0, t_end, dt, save_every)
     return Trajectory(t, x, y, meta={"dt": dt, "adaptive": False})
 
 
@@ -272,7 +281,10 @@ def measure_period(spec: SpectrumSpec, w, xi0, eta0, section_index: int = 0,
     crossing step in which some xi_sigma with w_sigma != 0 changes sign: such
     a step jumped through the collision xi_sigma = 0.  A step dt that is not
     finite and positive, a section index outside 0..ell or a coupling list
-    not of length ell + 1 raises ConfigError.
+    not of length ell + 1 raises ConfigError, and a start off T*S^ell
+    raises OffManifoldError.  The steps between crossings take the kernel of
+    ``model.kernel_state`` (floats up to ell = 6); the crossing solve steps
+    its column of step sizes in numpy.
     """
     w = np.asarray(w, float)
     if w.shape != (spec.ell + 1,):
@@ -281,29 +293,37 @@ def measure_period(spec: SpectrumSpec, w, xi0, eta0, section_index: int = 0,
         raise ConfigError(f"step dt must be finite and positive, got {dt}")
     if not 0 <= section_index <= spec.ell:
         raise ConfigError(f"section index must lie in 0..{spec.ell}, got {section_index}")
-    gradient = amended_gradient(spec, w)
+    xi = np.asarray(xi0, float)
+    eta = np.asarray(eta0, float)
+    check_reduced_state(xi, eta)
+    potential = Potential(spec.b, w)
     coupled = w != 0.0
     k = section_index
 
     def fdf(tau, xi, eta):
-        x, y = rk4_projected_step(gradient, xi, eta, tau[:, None])
-        return y[:, k], constrained_field(gradient(x), x, y)[1][:, k]
+        x, y = rk4_projected_step(potential, xi, eta, tau[:, None])
+        return y[:, k], constrained_field(potential.gradient(x), x, y)[1][:, k]
 
-    xi = np.asarray(xi0, float)
-    eta = np.asarray(eta0, float)
-    t = 0.0
+    t, dt = 0.0, float(dt)
     crossings = []
-    if eta[k] == 0.0 and np.all(w >= 0.0) and constrained_field(gradient(xi), xi, eta)[1][k] > 0.0:
+    if (eta[k] == 0.0 and np.all(w >= 0.0)
+            and constrained_field(potential.gradient(xi), xi, eta)[1][k] > 0.0):
         crossings.append(0.0)
-    while t < t_max and len(crossings) < 2:
-        xi_new, eta_new = rk4_projected_step(gradient, xi, eta, dt)
-        if not math.isfinite(eta_new[k]):
-            raise BlowUpDetected(t + dt)
-        if eta[k] < 0.0 <= eta_new[k]:
-            if np.any(coupled & (np.sign(xi_new) != np.sign(xi))):
+    xi, eta = kernel_state(xi), kernel_state(eta)
+    try:
+        while t < t_max and len(crossings) < 2:
+            xi_new, eta_new = rk4_projected_step(potential, xi, eta, dt)
+            if not math.isfinite(eta_new[k]):
                 raise BlowUpDetected(t + dt)
-            crossings.append(t + float(bracketed_roots(fdf, 0.0, dt, True, 1e-12, xi, eta)))
-        xi, eta, t = xi_new, eta_new, t + dt
+            if eta[k] < 0.0 <= eta_new[k]:
+                if np.any(coupled & (np.sign(xi_new) != np.sign(xi))):
+                    raise BlowUpDetected(t + dt)
+                tau = bracketed_roots(fdf, 0.0, dt, True, 1e-12, np.array(xi), np.array(eta))
+                crossings.append(t + float(tau))
+            xi, eta, t = xi_new, eta_new, t + dt
+    except ZeroDivisionError:
+        # the float kernel's v / 0.0, where numpy would give an infinite state
+        raise BlowUpDetected(t + dt) from None
     if len(crossings) < 2:
         raise NumericalFailure(f"no section return within t_max={t_max}")
     return crossings[1] - crossings[0]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularStratumError
-from .model import PhasePoint, SpectrumSpec, constrained_field, integrate_projected
+from .model import (PhasePoint, Potential, SpectrumSpec, check_reduced_state, constrained_field,
+                    integrate_projected)
 
 #: below this, a Casimir value W_sigma counts as singular (stratum boundary)
 SINGULAR_W_TOL = 1e-12
@@ -235,27 +236,13 @@ def rosochatius_invariants(spec: SpectrumSpec, w, xi, eta) -> ReducedState:
     return ReducedState(v=xi ** 2 / 2.0, t=eta ** 2 / 2.0 + inv, s=xi * eta)
 
 
-def amended_gradient(spec: SpectrumSpec, w):
-    """Callback xi -> grad V_w = b xi - w / xi^3 of the amended potential.
+def amended_potential_gradient(spec: SpectrumSpec, w, xi) -> np.ndarray:
+    """grad V_w = b xi - w / xi^3 of the amended potential at xi (``model.Potential``).
 
     Blocks with w_sigma = 0 (multiplicity 1) keep only b xi, so their signed
     xi_sigma may pass through zero.
     """
-    b = np.asarray(spec.b)
-    w = np.asarray(w, float)
-    mask = w != 0.0
-    if mask.all():
-        # bitwise the same as the masked form below, without its np.where per call
-        return lambda xi: b * xi - w / xi ** 3
-
-    def gradient(xi):
-        return b * xi - w / np.where(mask, xi, 1.0) ** 3
-    return gradient
-
-
-def amended_potential_gradient(spec: SpectrumSpec, w, xi) -> np.ndarray:
-    """grad V_w at xi; see ``amended_gradient``."""
-    return amended_gradient(spec, w)(np.asarray(xi, float))
+    return Potential(spec.b, w).gradient(np.asarray(xi, float))
 
 
 def reduced_vector_field(spec: SpectrumSpec, w, xi, eta) -> tuple:
@@ -285,10 +272,15 @@ def integrate_reduced(spec: SpectrumSpec, w, xi0, eta0, t_end: float,
                       blowup_threshold: float = 1e8) -> ReducedTrajectory:
     """Rosochatius flow by the full flow's projected RK4 (onto |xi| = 1, <xi, eta> = 0).
 
-    Raises BlowUpDetected when the unprojected state exceeds
-    ``blowup_threshold`` or stops being finite (possible for negative w_sigma).
+    One step with two kernels of the same bits (``model.integrate_projected``):
+    Python floats for up to 7 blocks, where numpy's sums run left to right as
+    the float kernel's do, and numpy for 8 or more.  Raises OffManifoldError
+    for a start off T*S^ell, and BlowUpDetected when the unprojected state
+    exceeds ``blowup_threshold`` or stops being finite (possible for
+    negative w_sigma).
     """
-    t, xi, eta = integrate_projected(amended_gradient(spec, w), np.asarray(xi0, float),
-                                     np.asarray(eta0, float), t_end, dt, save_every,
+    xi0, eta0 = np.asarray(xi0, float), np.asarray(eta0, float)
+    check_reduced_state(xi0, eta0)
+    t, xi, eta = integrate_projected(Potential(spec.b, w), xi0, eta0, t_end, dt, save_every,
                                      blowup_threshold)
     return ReducedTrajectory(t, xi, eta)

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure, SingularStratumError
-from .model import SpectrumSpec
+from .model import SpectrumSpec, check_reduced_state
 
 #: |u_i - b_sigma| below this (times the spectral scale) degenerates the chart
 CHART_TOL = 1e-10
@@ -277,11 +277,13 @@ def to_separated(spec: SpectrumSpec, w, xi, eta) -> SeparatedState:
     gap and gives the sign, while the Newton steps are those of U = A f, which
     has no poles: U / U' = f / (f sum 1/(z - b) - sum xi^2/(z - b)^2).
     p_i = (1/2) sum_sigma xi_sigma eta_sigma / (u_i - b_sigma), which agrees
-    with udot_i U'(u_i) / (-4 A(u_i)) along the reduced flow.  Requires every
-    xi_sigma nonzero so that f keeps a pole at each eigenvalue.
+    with udot_i U'(u_i) / (-4 A(u_i)) along the reduced flow.  Requires (xi, eta)
+    on T*S^ell (else OffManifoldError) and every xi_sigma nonzero, so that f
+    keeps a pole at each eigenvalue.
     """
     xi = np.asarray(xi, float)
     eta = np.asarray(eta, float)
+    check_reduced_state(xi, eta)
     b = np.asarray(spec.b)
     if np.any(xi == 0.0):
         raise SingularStratumError("separated chart needs xi_sigma != 0 for every block")

@@ -230,6 +230,11 @@ INVALID_FIELDS = [
     ("convexity", "experiment", "n_pairs", 0, "n_pairs"),
     ("separate", "spectrum", "b", [0.0, float("nan"), 2.0], "finite"),
     ("actions", "initial", "w", [-0.04, 0.09, 0.0625], "w"),
+    ("reduce", "initial", "xi", [0.7, 0.48, 0.64], "T*S^ell"),
+    ("reduce", "initial", "eta", [0.1, 0.8, -0.6], "T*S^ell"),
+    ("separate", "initial", "xi", [0.624, 0.4992, 0.6656], "T*S^ell"),
+    ("actions", "initial", "xi", [0.624, 0.4992, 0.6656], "T*S^ell"),
+    ("equilibria", "experiment", "j", ["x", 0.5, 0.5], "j"),
 ]
 
 

@@ -257,3 +257,19 @@ def test_negative_coupling_blowup(spec22):
         integrate_reduced(spec22, [-0.25, 0.25], xi0, eta0, t_end=0.35, dt=1e-3,
                           blowup_threshold=1e4)
     assert exc.value.time == pytest.approx(0.348)
+
+
+@pytest.mark.parametrize("xi, eta", [([0.7, 0.48, 0.64], [0.0, 0.8, -0.6]),
+                                     ([0.6, 0.48, 0.64], [0.1, 0.8, -0.6]),
+                                     ([0.624, 0.4992, 0.6656], [0.0, 0.8, -0.6])],
+                         ids=["xi-off-sphere", "eta-not-tangent", "xi-scaled-1.04"])
+def test_reduced_state_off_sphere_is_rejected(spec222, xi, eta):
+    from neumann.dynamics import measure_period
+    from neumann.errors import OffManifoldError
+    from neumann.separation import to_separated
+    w = [0.04, 0.09, 0.0625]
+    for call in (lambda: integrate_reduced(spec222, w, xi, eta, 0.1),
+                 lambda: measure_period(spec222, w, xi, eta, t_max=0.1),
+                 lambda: to_separated(spec222, w, xi, eta)):
+        with pytest.raises(OffManifoldError, match="T\\*S\\^ell"):
+            call()
